@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check vet build bin test race bench bench-smoke bench-net smoke-net sim-json verify verify-short fuzz-seed chaos bench-snapshot bench-compare perf-smoke service-smoke
+.PHONY: check vet build bin test race bench bench-smoke benchmark benchmark-smoke bench-net smoke-net sim-json verify verify-short fuzz-seed chaos bench-snapshot bench-compare perf-smoke service-smoke
 
 check: vet build test race
 
@@ -27,9 +27,21 @@ test:
 
 race:
 	$(GO) test -race ./internal/telemetry ./internal/sim ./internal/cluster ./internal/layout ./internal/node ./internal/transport ./internal/mpi ./internal/service ./internal/compress ./internal/dump
+	$(GO) test -race -count=50 -run TestPool ./internal/node
 
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' .
+
+# The repository benchmark (BENCHMARK.json, benchmark/README.md): its own Go
+# module, outside `go test ./...`. benchmark-smoke vets it and runs its
+# tests; benchmark runs one workload with the per-layer trace, e.g.
+# `make benchmark W=tiny8_tcp2`.
+W ?= cloud32_node
+benchmark-smoke:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+
+benchmark:
+	bash benchmark/run.sh --workload $(W) --seed 42 --seconds 25 --trace 1
 
 # One tiny fused-vs-staged step pair through the real driver; fails on any
 # panic in either execution model.

@@ -1,7 +1,5 @@
 package grid
 
-import "cubism/internal/physics"
-
 // BCKind selects the physical boundary condition applied to a domain face.
 type BCKind int
 
@@ -39,74 +37,4 @@ func WallBC(wall Face) BC {
 // PeriodicBC returns fully periodic conditions.
 func PeriodicBC() BC {
 	return BC{Periodic, Periodic, Periodic, Periodic, Periodic, Periodic}
-}
-
-// ghost resolves quantity q of cell (ix,iy,iz) where exactly one coordinate
-// lies outside the global domain [0,CellsX) x [0,CellsY) x [0,CellsZ)
-// through the physical boundary condition of the crossed face. Inter-rank
-// ghosts never reach here: the Lab resolves owned neighbors directly and
-// remote ones through the per-block halo slabs. The periodic branch reads
-// through g.Cell and therefore requires the wrapped cell to be owned — the
-// Lab routes periodic wraps through the block topology instead, so on
-// partial grids this branch is never taken.
-func (g *Grid) ghost(bc BC, ix, iy, iz, q int) float32 {
-	f, _ := g.outFace(ix, iy, iz)
-	switch bc[f] {
-	case Periodic:
-		nx, ny, nz := g.CellsX(), g.CellsY(), g.CellsZ()
-		return g.Cell((ix+nx)%nx, (iy+ny)%ny, (iz+nz)%nz, q)
-	case Reflecting:
-		mx, my, mz := mirror(ix, g.CellsX()), mirror(iy, g.CellsY()), mirror(iz, g.CellsZ())
-		v := g.Cell(mx, my, mz, q)
-		// Flip the momentum component normal to the face.
-		if q == physics.QU+f.Axis() {
-			v = -v
-		}
-		return v
-	default: // Absorbing: clamp to the nearest interior cell.
-		cx, cy, cz := clamp(ix, g.CellsX()), clamp(iy, g.CellsY()), clamp(iz, g.CellsZ())
-		return g.Cell(cx, cy, cz, q)
-	}
-}
-
-// outFace identifies which domain face the out-of-range coordinate crosses
-// and how deep beyond it the cell lies (1-based).
-func (g *Grid) outFace(ix, iy, iz int) (Face, int) {
-	switch {
-	case ix < 0:
-		return XLo, -ix
-	case ix >= g.CellsX():
-		return XHi, ix - g.CellsX() + 1
-	case iy < 0:
-		return YLo, -iy
-	case iy >= g.CellsY():
-		return YHi, iy - g.CellsY() + 1
-	case iz < 0:
-		return ZLo, -iz
-	default:
-		return ZHi, iz - g.CellsZ() + 1
-	}
-}
-
-// mirror reflects an out-of-range coordinate about the domain face:
-// -1 -> 0, -2 -> 1, n -> n-1, n+1 -> n-2.
-func mirror(i, n int) int {
-	if i < 0 {
-		return -i - 1
-	}
-	if i >= n {
-		return 2*n - 1 - i
-	}
-	return i
-}
-
-// clamp limits a coordinate to [0, n).
-func clamp(i, n int) int {
-	if i < 0 {
-		return 0
-	}
-	if i >= n {
-		return n - 1
-	}
-	return i
 }

@@ -300,31 +300,3 @@ func (b *Block) PackFace(f Face, dst []float32) []float32 {
 	}
 	return dst
 }
-
-// haloCell returns the NQ quantities of ghost cell (ix,iy,iz) in block-local
-// stencil coordinates (exactly one coordinate outside [0,N)) from the
-// installed slab of the crossed face. It panics when no slab is installed —
-// a missing halo is a cluster-layer bug, never silently absorbed.
-func (b *Block) haloCell(f Face, ix, iy, iz int) []float32 {
-	n := b.N
-	var d, u, v int
-	switch f {
-	case XLo:
-		d, u, v = -ix-1, iy, iz
-	case XHi:
-		d, u, v = ix-n, iy, iz
-	case YLo:
-		d, u, v = -iy-1, ix, iz
-	case YHi:
-		d, u, v = iy-n, ix, iz
-	case ZLo:
-		d, u, v = -iz-1, ix, iy
-	case ZHi:
-		d, u, v = iz-n, ix, iy
-	}
-	if b.halos[f] == nil {
-		panic(fmt.Sprintf("grid: block (%d,%d,%d) read face %v ghost with no halo installed", b.X, b.Y, b.Z, f))
-	}
-	off := ((d*n+v)*n + u) * NQ
-	return b.halos[f][off : off+NQ : off+NQ]
-}

@@ -78,11 +78,14 @@ func (p *pool) worker(w int) {
 		}
 		p.queued.Add(-1)
 		sp := tr.StartSpan(t.run.name, rank, w+1)
-		t.run.exec(w, int(t.i))
+		completed := t.run.exec(w, int(t.i))
 		sp.End()
 		done := time.Now()
 		p.busyNS.Add(done.Sub(grabbed).Nanoseconds())
 		p.tasksRun.Add(1)
+		// Signal completion only after the counters are bumped, so PoolStats
+		// read right after a stage returns already counts its last task.
+		t.run.finish(completed)
 		idleStart = done
 	}
 }
@@ -208,17 +211,19 @@ func (run *StageRun) Wait() { <-run.done }
 // Completed returns the number of fully completed tasks (RHS and update).
 func (run *StageRun) Completed() int { return int(run.completed.Load()) }
 
-func (run *StageRun) exec(w, i int) {
+// exec runs item i on worker w and returns how many of the stage's tasks it
+// completed; the worker loop passes that count to finish.
+func (run *StageRun) exec(w, i int) int32 {
 	if run.fused != nil {
-		run.execFused(w, i)
-		return
+		return run.execFused(w, i)
 	}
 	run.body(w, i)
-	run.finish()
+	return 1
 }
 
-func (run *StageRun) finish() {
-	if run.completed.Add(1) == run.n {
+// finish records k completed tasks and releases Wait once all are done.
+func (run *StageRun) finish(k int32) {
+	if k > 0 && run.completed.Add(k) == run.n {
 		close(run.done)
 	}
 }
@@ -226,8 +231,11 @@ func (run *StageRun) finish() {
 // execFused runs one fused task: assemble the lab, evaluate the RHS, and
 // apply the RK update as early as the data dependencies allow. Every task
 // writes only its own block (plus deferred updates whose count it drops to
-// zero), so results are bitwise independent of the schedule.
-func (run *StageRun) execFused(w, i int) {
+// zero), so results are bitwise independent of the schedule. It returns the
+// number of tasks it completed: its own when its update ran, plus every
+// neighbor whose deferred update it applied.
+func (run *StageRun) execFused(w, i int) int32 {
+	var completed int32
 	e, f := run.e, run.fused
 	ws := e.scratch[w]
 	ws.lab.Load(e.G, e.BC, f.Blocks[i])
@@ -236,6 +244,7 @@ func (run *StageRun) execFused(w, i int) {
 	for _, d := range f.LabDeps[i] {
 		if run.upPending[d].Add(-1) == 0 {
 			run.applyUpdate(int(d))
+			completed++
 		}
 	}
 	b := f.Blocks[i]
@@ -253,8 +262,7 @@ func (run *StageRun) execFused(w, i int) {
 			ws.rhs.ComputeFused(ws.lab, e.G.H, b.Data, f.Reg[i], f.A, f.B, f.Dt)
 		}
 		run.upPending[i].Store(0)
-		run.finish()
-		return
+		return completed + 1
 	}
 	// A neighbor still reads this block's pre-update data: materialize the
 	// rhs and defer the update to whoever drops the count to zero.
@@ -267,12 +275,14 @@ func (run *StageRun) execFused(w, i int) {
 	}
 	if run.upPending[i].Add(-1) == 0 {
 		run.applyUpdate(i)
+		completed++
 	}
+	return completed
 }
 
 // applyUpdate performs the deferred RK update of block i from its stored
-// rhs. The atomic count transition to zero orders it after both the rhs
-// store and the last reader's lab load.
+// rhs; the caller counts the completion. The atomic count transition to
+// zero orders it after both the rhs store and the last reader's lab load.
 func (run *StageRun) applyUpdate(i int) {
 	f := run.fused
 	if run.e.Vector {
@@ -280,5 +290,4 @@ func (run *StageRun) applyUpdate(i int) {
 	} else {
 		core.UpdateScalar(f.Blocks[i].Data, f.Reg[i], f.RHS[i], f.A, f.B, f.Dt)
 	}
-	run.finish()
 }
