@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check vet build bin test race bench bench-smoke benchmark benchmark-smoke bench-net smoke-net sim-json verify verify-short fuzz-seed chaos bench-snapshot bench-compare perf-smoke service-smoke
+.PHONY: check vet build bin test race bench benchmark benchmark-smoke smoke-net verify verify-short fuzz-seed chaos obs-smoke service-smoke
 
 check: vet build test race
 
@@ -43,50 +43,19 @@ benchmark-smoke:
 benchmark:
 	bash benchmark/run.sh --workload $(W) --seed 42 --seconds 25 --trace 1
 
-# One tiny fused-vs-staged step pair through the real driver; fails on any
-# panic in either execution model.
-bench-smoke:
-	$(GO) run ./cmd/mpcf-bench -exp sim -n 8 -steps 2 -json ""
-
-# Machine-readable perf record for cross-PR diffing (docs/observability.md).
-sim-json:
-	$(GO) run ./cmd/mpcf-bench -exp sim -steps 50 -json BENCH_sim.json
-
-# Wire-transport message-size sweep on both transports (docs/networking.md).
-bench-net:
-	$(GO) run ./cmd/mpcf-bench -exp net -net-json BENCH_net.json
-
-# Regenerate the checked-in perf baselines under bench/. Run on a quiet
-# machine, inspect the diff, and commit — the CI perf-smoke job compares
-# against these in warn mode; local `make bench-compare` gates hard.
-bench-snapshot:
-	$(GO) run ./cmd/mpcf-bench -exp sim -n 8 -steps 20 -json bench/BENCH_sim.json
-	$(GO) run ./cmd/mpcf-bench -exp net -net-json bench/BENCH_net.json
-	$(GO) run ./cmd/mpcf-bench -exp cloud -cloud-json bench/BENCH_cloud.json
-	$(GO) run ./cmd/mpcf-bench -exp service -service-json bench/BENCH_service.json
-	$(GO) run ./cmd/mpcf-bench -exp io -io-json bench/BENCH_io.json
-
-# The regression gate: rerun both benchmarks at the baselines' own
-# configuration and fail on structural changes or rate collapse
-# (docs/observability.md). SLACK widens the thresholds for noisy hosts.
-SLACK ?= 1
-bench-compare:
-	$(GO) run ./cmd/mpcf-bench -compare bench/BENCH_sim.json,bench/BENCH_net.json,bench/BENCH_cloud.json,bench/BENCH_service.json,bench/BENCH_io.json -compare-slack $(SLACK)
-
-# CI perf smoke: a 2-rank TCP run through the observatory (merged trace +
-# imbalance report artifacts) plus the bench gate in report-only mode.
-perf-smoke: bin
-	@rm -rf perf-smoke.tmp && mkdir perf-smoke.tmp
+# Observatory smoke: a 2-rank TCP run through mpcf-launch must leave the
+# merged clock-aligned trace and the imbalance report (docs/observability.md).
+obs-smoke: bin
+	@rm -rf obs-smoke.tmp && mkdir obs-smoke.tmp
 	./bin/mpcf-launch -n 2 -- -case sod -ranks 2,1,1 -blocks 2,2,2 -n 8 -steps 6 \
 		-quiet -diag-every 0 \
-		-obs-trace perf-smoke.tmp/trace_merged.json \
-		-obs-report perf-smoke.tmp/imbalance.txt \
-		-obs-report-json perf-smoke.tmp/imbalance.json
-	@test -s perf-smoke.tmp/trace_merged.json
-	@test -s perf-smoke.tmp/imbalance.txt
-	cat perf-smoke.tmp/imbalance.txt
-	$(GO) run ./cmd/mpcf-bench -compare bench/BENCH_sim.json,bench/BENCH_net.json,bench/BENCH_cloud.json,bench/BENCH_service.json,bench/BENCH_io.json -compare-warn
-	@echo "perf-smoke: merged trace, imbalance report and compare gate all ran"
+		-obs-trace obs-smoke.tmp/trace_merged.json \
+		-obs-report obs-smoke.tmp/imbalance.txt \
+		-obs-report-json obs-smoke.tmp/imbalance.json
+	@test -s obs-smoke.tmp/trace_merged.json
+	@test -s obs-smoke.tmp/imbalance.txt
+	cat obs-smoke.tmp/imbalance.txt
+	@echo "obs-smoke: merged trace and imbalance report written"
 
 # End-to-end service smoke (docs/service.md): mpcf-serve fields one
 # in-process and one 2-rank fleet job over the REST API, both event streams

@@ -1,6 +1,7 @@
 // mpcf-bench regenerates the paper's evaluation: every table (3-10) and
-// figure (5, 7, 9) plus the §7 compression-rate and throughput analyses,
-// printed as text with the paper's published values alongside.
+// figure (5, 7, 9) plus the §7 compression-rate, throughput and I/O
+// footprint analyses, printed as text with the paper's published values
+// alongside.
 //
 // Usage:
 //
@@ -9,81 +10,30 @@
 //	mpcf-bench -n 32 -dur 2s    # production block size, longer timing
 //
 // Experiments: table3 table4 table5 table6 table7 table8 table9 table10
-// fig5 fig7 fig9 compression throughput io sim net cloud service all
+// fig5 fig7 fig9 compression throughput io all
 //
-// The net experiment sweeps wire-transport message sizes (1 KiB – 4 MiB)
-// on both the inproc and tcp transports, emitting BENCH_net.json with
-// per-size latency percentiles and achieved bandwidth.
-//
-// The sim experiment also emits a machine-readable BENCH_sim.json (per-kernel
-// GFLOP/s, step latency percentiles, cross-rank imbalance) next to the
-// human-readable report, so the perf trajectory across PRs is diffable.
-//
-// The cloud experiment runs the scenario engine's default cloud-collapse
-// case (internal/scenario) at the fixed benchmark configuration (32³,
-// 40 steps) and emits BENCH_cloud.json: throughput and step latency plus
-// the deterministic Figure-5 observables (peak/wall pressure amplification,
-// equivalent-radius collapse, kinetic energy, β), which the -compare gate
-// holds to a tight relative tolerance.
-//
-// The service experiment stands the simulation-as-a-service front end up
-// in-process (internal/service), pushes a batch of smoke jobs through the
-// multi-tenant queue over the HTTP API with several concurrent stream
-// subscribers per job, and emits BENCH_service.json: submit-to-first-step
-// latency, end-to-end jobs/minute and the structural stream-completeness
-// invariants.
-//
-// The io experiment, besides the §7 footprint summary, runs the ENC
-// pipeline serially and across the worker pool on the same snapshot and
-// emits BENCH_io.json: per-encoder encoded sizes (pinned exactly for the
-// deterministic coders), the bitwise serial/parallel equality and lossless
-// round-trip invariants, the Table-4-shaped per-worker ENC imbalance, and
-// a two-rank frame-stream leg asserting the TagDump frame equals the
-// collective file bit for bit.
-//
-// The regression gate diffs fresh results against checked-in baselines:
-//
-//	mpcf-bench -compare bench/BENCH_sim.json,bench/BENCH_net.json
-//	mpcf-bench -compare bench/BENCH_sim.json -compare-current BENCH_sim.json
-//	mpcf-bench -compare ... -compare-warn        # report-only (CI smoke)
-//	mpcf-bench -compare ... -compare-slack 2     # noisy shared runner
-//
-// Structural checks (analytic traffic constants, kernel/transport presence,
-// the pool spawn-once invariant) are exact; rate checks use generous
-// relative thresholds. Exit code 1 on regression unless -compare-warn.
+// The repository's performance record is the benchmark declared in
+// BENCHMARK.json (see benchmark/README.md), not this command: mpcf-bench
+// reproduces the paper's tables and figures at a host-sized scale.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"time"
 
 	"cubism/internal/experiments"
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment id (table3..table10, fig5, fig7, fig9, compression, throughput, io, sim, net, cloud, service, all)")
+	exp := flag.String("exp", "all", "experiment id (table3..table10, fig5, fig7, fig9, compression, throughput, io, all)")
 	n := flag.Int("n", 16, "block edge in cells (paper production: 32)")
 	dur := flag.Duration("dur", 500*time.Millisecond, "minimum timing window per kernel measurement")
 	steps := flag.Int("steps", 100, "time steps for the simulation-driven experiments")
-	jsonPath := flag.String("json", "BENCH_sim.json", "machine-readable output path of the sim experiment (empty: skip)")
-	netJSONPath := flag.String("net-json", "BENCH_net.json", "machine-readable output path of the net experiment (empty: skip)")
-	cloudJSONPath := flag.String("cloud-json", "BENCH_cloud.json", "machine-readable output path of the cloud experiment (empty: skip)")
-	serviceJSONPath := flag.String("service-json", "BENCH_service.json", "machine-readable output path of the service experiment (empty: skip)")
-	ioJSONPath := flag.String("io-json", "BENCH_io.json", "machine-readable output path of the io experiment's ENC-pipeline record (empty: skip)")
-	pipeline := flag.Bool("pipeline", true, "primary sim-experiment mode: dependency-driven fused RHS+UP pipeline (false: bulk-synchronous staged baseline); both modes are always measured")
-	compare := flag.String("compare", "", "comma-separated baseline BENCH_*.json paths; rerun the matching benchmarks and exit 1 on regression")
-	compareCurrent := flag.String("compare-current", "", "comma-separated fresh BENCH_*.json paths paired with -compare by position: diff files instead of rerunning")
-	compareWarn := flag.Bool("compare-warn", false, "report regressions without the non-zero exit (CI report-only mode)")
-	compareSlack := flag.Float64("compare-slack", 1, "widen the relative tolerances by this factor (noisy shared runners)")
 	flag.Parse()
 
 	w := os.Stdout
-	if *compare != "" {
-		os.Exit(runCompare(w, *compare, *compareCurrent, *compareWarn, *compareSlack, *pipeline))
-	}
 	run := map[string]func(){
 		"table3":      func() { experiments.Table3(w, *n) },
 		"table4":      func() { experiments.Table4(w, *n) },
@@ -98,15 +48,11 @@ func main() {
 		"fig9":        func() { experiments.Fig9(w, *dur) },
 		"compression": func() { experiments.Compression(w, *n) },
 		"throughput":  func() { experiments.Throughput(w, *steps) },
-		"io":          func() { experiments.IO(w, *n); experiments.BenchIO(w, *n, *ioJSONPath) },
-		"sim":         func() { experiments.BenchSim(w, *n, *steps, *jsonPath, *pipeline) },
-		"net":         func() { experiments.BenchNet(w, *netJSONPath) },
-		"cloud":       func() { experiments.BenchCloud(w, "cloud", 0, *cloudJSONPath) },
-		"service":     func() { experiments.BenchService(w, *serviceJSONPath) },
+		"io":          func() { experiments.IO(w, *n) },
 	}
 	order := []string{
 		"table3", "table4", "table5", "table6", "table7", "table8",
-		"table9", "table10", "fig5", "fig7", "fig9", "compression", "throughput", "io", "sim", "net", "cloud", "service",
+		"table9", "table10", "fig5", "fig7", "fig9", "compression", "throughput", "io",
 	}
 	if *exp == "all" {
 		for _, id := range order {
@@ -120,57 +66,4 @@ func main() {
 		os.Exit(2)
 	}
 	f()
-}
-
-// runCompare drives the regression gate and returns the process exit code:
-// 0 when every baseline holds (or warn mode), 1 on regression, 2 on usage
-// or I/O errors.
-func runCompare(w *os.File, baselines, current string, warn bool, slack float64, pipeline bool) int {
-	th := experiments.DefaultThresholds(slack)
-	basePaths := strings.Split(baselines, ",")
-	var curPaths []string
-	if current != "" {
-		curPaths = strings.Split(current, ",")
-		if len(curPaths) != len(basePaths) {
-			fmt.Fprintf(os.Stderr, "mpcf-bench: -compare lists %d baselines but -compare-current lists %d files\n",
-				len(basePaths), len(curPaths))
-			return 2
-		}
-	}
-	regressed := false
-	for i, basePath := range basePaths {
-		basePath = strings.TrimSpace(basePath)
-		var rep *experiments.CompareReport
-		var err error
-		if curPaths != nil {
-			rep, err = experiments.CompareBenchFiles(basePath, strings.TrimSpace(curPaths[i]), th)
-		} else {
-			// Rerun the matching benchmark fresh; keep the record next to
-			// the baseline's name for artifact upload.
-			rep, err = experiments.CompareAgainstBaseline(basePath, "", pipeline, th)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mpcf-bench: compare %s: %v\n", basePath, err)
-			return 2
-		}
-		status := "ok"
-		if !rep.OK() {
-			status = "REGRESSED"
-			regressed = true
-		}
-		fmt.Fprintf(w, "compare %-4s %s: %s (%d checks)\n", rep.Kind, basePath, status, rep.Checks)
-		for _, msg := range rep.Regressions {
-			fmt.Fprintf(w, "  FAIL %s\n", msg)
-		}
-		for _, msg := range rep.Notes {
-			fmt.Fprintf(w, "  note %s\n", msg)
-		}
-	}
-	if regressed && !warn {
-		return 1
-	}
-	if regressed {
-		fmt.Fprintln(w, "regressions reported only (-compare-warn)")
-	}
-	return 0
 }

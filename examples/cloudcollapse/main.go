@@ -1,7 +1,7 @@
 // Cloud cavitation collapse near a solid wall — a laptop-scale version of
 // the paper's production run (§7), driven through the scenario registry: the
-// same named case cmd/mpcf-sim (-scenario), cmd/mpcf-verify and
-// cmd/mpcf-bench (-exp cloud) run. The example prints the Figure 5
+// same named case cmd/mpcf-sim (-scenario), cmd/mpcf-verify and the
+// repository benchmark (cloud32_node) run. The example prints the Figure 5
 // diagnostics (maximum pressure in the field and on the wall, kinetic
 // energy, equivalent cloud radius) as CSV while the run advances, and the
 // reduced collapse observables when it finishes.

@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"testing"
 
+	"cubism/internal/core"
 	"cubism/internal/grid"
 	"cubism/internal/mpi"
 )
@@ -201,15 +202,27 @@ func TestSteadyStateAllocs(t *testing.T) {
 }
 
 // TestPoolSpawnConstantAcrossSteps: the engine pool must spawn its workers
-// exactly once, no matter how many steps run.
+// exactly once, no matter how many steps run. The fused run must also
+// record every stage under the RHSUP kernel, charged at the fused stage's
+// operational intensity, beside one DT per step.
 func TestPoolSpawnConstantAcrossSteps(t *testing.T) {
+	const steps = 100
 	cfg := steadyStateConfig(true)
 	world := mpi.NewWorld(1)
 	world.Run(func(comm *mpi.Comm) {
 		r := NewRank(comm, cfg)
 		defer r.Close()
-		for s := 0; s < 100; s++ {
+		for s := 0; s < steps; s++ {
 			r.Advance()
+		}
+		rhsup, dt := r.Mon.Kernel("RHSUP").Stats(), r.Mon.Kernel("DT").Stats()
+		if rhsup.N != 3*steps || rhsup.GFLOPS() <= 0 ||
+			rhsup.Intensity() != core.OperationalIntensityFused(cfg.BlockSize) {
+			t.Errorf("RHSUP kernel: %d calls at %.3g GFLOP/s and %.4g FLOP/B, want %d calls at %.4g FLOP/B",
+				rhsup.N, rhsup.GFLOPS(), rhsup.Intensity(), 3*steps, core.OperationalIntensityFused(cfg.BlockSize))
+		}
+		if dt.N != steps || dt.GFLOPS() <= 0 {
+			t.Errorf("DT kernel: %d calls at %.3g GFLOP/s, want %d calls", dt.N, dt.GFLOPS(), steps)
 		}
 		ps := r.Engine.PoolStats()
 		if ps.Spawned != int64(cfg.Workers) {

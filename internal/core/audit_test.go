@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"cubism/internal/physics"
 	"cubism/internal/qpx"
 )
 
@@ -121,6 +122,30 @@ func TestFlopCountsConsistent(t *testing.T) {
 	if ratio < 0.7 || ratio > 1.6 {
 		t.Errorf("HLLE audit/analytic FLOP ratio %.2f outside [0.7, 1.6] (audit %g, analytic %d)",
 			ratio, hllePerLane, HLLEFlops)
+	}
+}
+
+// TestStageTrafficConstants pins the analytic per-stage traffic of the two
+// execution models. These bytes are the denominators of the fused and staged
+// roofline placements, so a change here is a change in what the solver is
+// charged for, not in how fast the host runs it.
+func TestStageTrafficConstants(t *testing.T) {
+	if UpdateBytesPerValue != 20 || FusedUpdateBytesPerValue != 16 {
+		t.Errorf("UP bytes/value: staged %d fused %d, want 20 and 16",
+			UpdateBytesPerValue, FusedUpdateBytesPerValue)
+	}
+	staged := func(n int) int64 { return RHSBytesPerCell(n) + physics.NQ*UpdateBytesPerValue }
+	if got := staged(8); got != 259 {
+		t.Errorf("staged stage bytes/cell at n=8: %d, want 259", got)
+	}
+	if got := FusedStageBytesPerCell(8); got != 203 {
+		t.Errorf("fused stage bytes/cell at n=8: %d, want 203", got)
+	}
+	// Fusion drops the rhs write-back and its re-read: two float32 per value.
+	for _, n := range []int{8, 16, 32} {
+		if d := staged(n) - FusedStageBytesPerCell(n); d != 2*physics.NQ*4 {
+			t.Errorf("n=%d: staged - fused = %d bytes/cell, want %d", n, d, 2*physics.NQ*4)
+		}
 	}
 }
 

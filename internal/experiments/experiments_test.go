@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"bytes"
+	"math"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -79,20 +81,40 @@ func TestCompressionExperimentRuns(t *testing.T) {
 	}
 }
 
+// TestFig5SeriesPhysical runs the Figure 5 case at 8³ blocks and checks
+// the early collapse the paper's series opens with: the cloud gains kinetic
+// energy and shrinks at every diagnostic, and no value goes non-finite.
 func TestFig5SeriesPhysical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-driven experiment")
 	}
 	var b bytes.Buffer
-	Fig5(&b, 15)
-	lines := strings.Split(strings.TrimSpace(b.String()), "\n")
-	var dataLines int
-	for _, l := range lines {
-		if strings.Count(l, ",") == 4 && !strings.Contains(l, "time,") {
-			dataLines++
+	fig5(&b, 15, 8)
+	var rows [][]float64
+	for _, l := range strings.Split(strings.TrimSpace(b.String()), "\n") {
+		if strings.Count(l, ",") != 4 || strings.HasPrefix(l, "time,") {
+			continue
 		}
+		var row []float64
+		for _, f := range strings.Split(l, ",") {
+			v, err := strconv.ParseFloat(f, 64)
+			if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Fatalf("non-finite or malformed value %q in row %q", f, l)
+			}
+			row = append(row, v)
+		}
+		rows = append(rows, row)
 	}
-	if dataLines < 2 {
-		t.Errorf("expected CSV series, got:\n%s", b.String())
+	if len(rows) < 3 {
+		t.Fatalf("want at least 3 CSV rows, got %d:\n%s", len(rows), b.String())
+	}
+	const ke, radius = 3, 4 // kinetic_energy, equiv_radius_norm
+	for i := 1; i < len(rows); i++ {
+		if rows[i][ke] <= rows[i-1][ke] {
+			t.Errorf("kinetic energy not increasing at row %d: %g -> %g", i, rows[i-1][ke], rows[i][ke])
+		}
+		if rows[i][radius] >= rows[i-1][radius] {
+			t.Errorf("equivalent radius not decreasing at row %d: %g -> %g", i, rows[i-1][radius], rows[i][radius])
+		}
 	}
 }

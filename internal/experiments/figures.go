@@ -26,7 +26,10 @@ import (
 // Paper shape: wall pressure eventually peaks at ~20x ambient after the
 // collective collapse; kinetic energy rises to a maximum near the main
 // collapse; the equivalent radius decreases, rebounds once, then collapses.
-func Fig5(w io.Writer, steps int) {
+func Fig5(w io.Writer, steps int) { fig5(w, steps, blockEdge) }
+
+// fig5 runs the Figure 5 case on 4x4x4 blocks of n³ cells.
+func fig5(w io.Writer, steps, n int) {
 	header(w, "Figure 5: cloud collapse diagnostics (CSV series)")
 	bubbles, err := (cloud.Spec{
 		Center: [3]float64{0.5, 0.5, 0.55},
@@ -43,7 +46,7 @@ func Fig5(w io.Writer, steps int) {
 		Cluster: cluster.Config{
 			RankDims:  [3]int{1, 1, 1},
 			BlockDims: [3]int{4, 4, 4},
-			BlockSize: blockEdge,
+			BlockSize: n,
 			Extent:    1,
 			BC:        grid.WallBC(grid.ZLo),
 			Workers:   runtime.NumCPU(),

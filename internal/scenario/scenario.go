@@ -9,10 +9,10 @@
 // compares the run against.
 //
 // The registry is wired through cmd/mpcf-sim (-scenario), cmd/mpcf-verify
-// (tolerance-band checks per scenario, internal/verify), and cmd/mpcf-bench
-// (-exp cloud → BENCH_cloud.json), in the shape of MFC's case registry: a
-// user asks for a workload by name and every driver agrees on what that
-// name means.
+// (tolerance-band checks per scenario, internal/verify), the service job API
+// and the repository benchmark (the cloud32_node workload), in the shape of
+// MFC's case registry: a user asks for a workload by name and every driver
+// agrees on what that name means.
 package scenario
 
 import (

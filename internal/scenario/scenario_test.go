@@ -34,8 +34,8 @@ func TestBuildUnknown(t *testing.T) {
 }
 
 // TestCloudGolden pins the default cloud case: the seed-42 geometry must
-// never drift silently, because the tolerance bands and the committed
-// BENCH_cloud baseline are measured against it.
+// never drift silently, because the verify tolerance bands and the
+// benchmark's cloud references are measured against it.
 func TestCloudGolden(t *testing.T) {
 	c, err := Build("cloud", Params{})
 	if err != nil {
@@ -59,6 +59,20 @@ func TestCloudGolden(t *testing.T) {
 	for _, b := range c.Bubbles {
 		if b.R < 0.04 || b.R > 0.09 {
 			t.Errorf("bubble radius %v outside clip [0.04, 0.09]", b.R)
+		}
+	}
+	// The derived geometry is deterministic; 1e-6 only absorbs math-library
+	// spread across platforms.
+	for _, g := range []struct {
+		name      string
+		got, want float64
+	}{
+		{"beta", c.Beta, 2.2524403441782774},
+		{"void fraction", c.VoidFraction, 0.08166789510478303},
+		{"Rayleigh time", c.RayleighTau, 0.0005007721550583775},
+	} {
+		if math.Abs(g.got-g.want) > 1e-6*g.want {
+			t.Errorf("default cloud %s = %.17g, want %.17g", g.name, g.got, g.want)
 		}
 	}
 

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -9,6 +10,7 @@ import (
 
 	"cubism/internal/cluster"
 	"cubism/internal/mpi"
+	"cubism/internal/telemetry"
 	"cubism/internal/transport/faulty"
 )
 
@@ -45,7 +47,9 @@ func rebalanceTotalsOn(cfg Config, sink *cluster.Totals) Config {
 // cuts and migrates blocks mid-run (via the sim-level ForceRebalanceStep
 // hook) must produce conserved totals bitwise identical to the undisturbed
 // cartesian run — the layout layer and live migration are invisible to the
-// physics all the way up through the campaign driver.
+// physics all the way up through the campaign driver. The migrating run has
+// metrics switched on, so the same comparison also proves telemetry does not
+// change the physics, and its registry must carry the layout series.
 func TestSimForcedRebalanceBitwise(t *testing.T) {
 	const steps = 5
 	var ref cluster.Totals
@@ -58,6 +62,7 @@ func TestSimForcedRebalanceBitwise(t *testing.T) {
 	cfg.Cluster.Layout = "hilbert"
 	cfg.Cluster.LayoutCuts = []int{0, 13, 16} // rank 0 starts with 13 of 16 blocks
 	cfg.ForceRebalanceStep = 2
+	cfg.Telemetry = &telemetry.Set{Metrics: telemetry.NewRegistry()}
 	var moved int
 	if _, err := Run(cfg, func(s StepInfo) {
 		if s.HasRebalance && s.Rebalance.Moved > moved {
@@ -70,6 +75,22 @@ func TestSimForcedRebalanceBitwise(t *testing.T) {
 		t.Fatal("forced rebalance moved no blocks; migration path not exercised")
 	}
 	assertTotalsBitwise(t, "migrated hilbert vs cartesian", ref, got)
+
+	snap := cfg.Telemetry.Metrics.Snapshot()
+	if v, ok := snap["mpcf_migrations_total"].(int64); !ok || v < int64(moved) {
+		t.Errorf("mpcf_migrations_total = %v, want a series counting at least the %d moved blocks",
+			snap["mpcf_migrations_total"], moved)
+	}
+	var ranks, blocks int
+	for id, v := range snap {
+		if strings.HasPrefix(id, "mpcf_layout_blocks{") {
+			ranks++
+			blocks += int(v.(float64))
+		}
+	}
+	if ranks != 2 || blocks != 16 {
+		t.Errorf("mpcf_layout_blocks: %d rank series holding %d blocks, want 2 holding 16", ranks, blocks)
+	}
 }
 
 // TestSimMigrationBitwiseOverTCPChaos is the migration fault drill: the
