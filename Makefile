@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check vet build bin test race bench benchmark benchmark-smoke smoke-net verify verify-short fuzz-seed chaos obs-smoke service-smoke
+.PHONY: check vet build bin test race flake bench benchmark benchmark-smoke smoke-net verify verify-short fuzz-seed chaos obs-smoke service-smoke
 
 check: vet build test race
 
@@ -28,6 +28,14 @@ test:
 race:
 	$(GO) test -race ./internal/telemetry ./internal/sim ./internal/cluster ./internal/layout ./internal/node ./internal/transport ./internal/mpi ./internal/service ./internal/compress ./internal/dump
 	$(GO) test -race -count=50 -run TestPool ./internal/node
+
+# Flake sweep of the packages that own the per-step collective schedule:
+# shuffled repeats, a single-P leg and a race leg (CI runs it nightly).
+FLAKE_PKGS = ./internal/sim ./internal/cluster ./internal/mpi ./internal/service
+flake:
+	$(GO) test -count=20 -shuffle=on $(FLAKE_PKGS)
+	GOMAXPROCS=1 $(GO) test -count=5 $(FLAKE_PKGS)
+	$(GO) test -race -count=10 $(FLAKE_PKGS)
 
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' .

@@ -369,17 +369,27 @@ func (r *Rank) InstallHalos(recvs []*mpi.Request) {
 // MaxDT computes the global CFL time step (the DT kernel + its global
 // scalar reduction).
 func (r *Rank) MaxDT() float64 {
+	dt, _ := r.maxDT(false)
+	return dt
+}
+
+// maxDT is MaxDT with a stop flag riding the same MaxOp reduction: it
+// reports whether any rank asked to stop.
+func (r *Rank) maxDT(stop bool) (dt float64, stopped bool) {
 	sp := r.tr.StartSpan("DT", r.rankID, 0)
 	defer sp.End()
 	t0 := time.Now()
-	local := r.Engine.MaxCharVel()
-	global := r.Comm.Allreduce(local, mpi.MaxOp)
+	flag := 0.0
+	if stop {
+		flag = 1
+	}
+	global := r.Comm.AllreduceVec([]float64{r.Engine.MaxCharVel(), flag}, mpi.MaxOp)
 	cells := int64(r.G.Cells())
 	r.Mon.Kernel("DT").RecordSince(t0, cells*core.SOSFlopsPerCell, cells*core.SOSBytesPerCell)
-	if global <= 0 {
-		return 0
+	if global[0] <= 0 {
+		return 0, global[1] > 0
 	}
-	return r.Cfg.CFL * r.G.H / global
+	return r.Cfg.CFL * r.G.H / global[0], global[1] > 0
 }
 
 // RKStep advances one full Runge-Kutta step of size dt: three stages of
@@ -474,8 +484,7 @@ func (r *Rank) CommPhases() (ghost, wait time.Duration) {
 
 // Advance runs one complete simulation step (DT + RK3) and returns dt.
 func (r *Rank) Advance() float64 {
-	dt := r.MaxDT()
-	r.RKStep(dt)
+	dt, _ := r.BeginStep(false)
 	return dt
 }
 
@@ -569,59 +578,52 @@ type Diagnostics struct {
 	EquivRadius   float64
 }
 
-// Diagnose computes the global diagnostics via reductions. The kinetic
-// energy and vapor volume integrals fold per-block partial sums in
-// canonical block order (see foldBlockSums), so the result is bitwise
-// identical across layouts, rank counts and migrations.
+// Diagnose computes the global diagnostics in one collective fold (see
+// EndStep), bitwise identical across layouts, rank counts and migrations.
 func (r *Rank) Diagnose(wall grid.Face, hasWall bool) Diagnostics {
-	sp := r.tr.StartSpan("diagnose", r.rankID, 0)
-	defer sp.End()
-	g := r.G
-	n := g.N
-	h3 := g.H * g.H * g.H
+	return r.EndStep(Schedule{DiagEvery: 1, Wall: wall, HasWall: hasWall}, 0).Diag
+}
+
+// diagBlock appends block b's partial integrals (kinetic energy, vapor
+// volume) to x and raises the pressure maxima in x's head.
+func (r *Rank) diagBlock(x []float64, b *grid.Block, wall grid.Face, hasWall bool) []float64 {
+	n := r.G.N
+	h3 := r.G.H * r.G.H * r.G.H
 	gV, gL := physics.Vapor.G(), physics.Liquid.G()
-	var maxP, wallP float64
-	sums := r.foldBlockSums(2, func(b *grid.Block, out []float64) {
-		var ke, vap float64
-		for iz := 0; iz < n; iz++ {
-			for iy := 0; iy < n; iy++ {
-				for ix := 0; ix < n; ix++ {
-					c := b.At(ix, iy, iz)
-					cons := physics.Cons{
-						R: float64(c[physics.QR]), RU: float64(c[physics.QU]),
-						RV: float64(c[physics.QV]), RW: float64(c[physics.QW]),
-						E: float64(c[physics.QE]), G: float64(c[physics.QG]), Pi: float64(c[physics.QP]),
-					}
-					kin := cons.KineticEnergy()
-					p := physics.Pressure(cons.E, kin, cons.G, cons.Pi)
-					if p > maxP {
-						maxP = p
-					}
-					ke += kin * h3
-					// Vapor volume fraction from the mixture Γ.
-					alpha := (cons.G - gL) / (gV - gL)
-					if alpha > 1 {
-						alpha = 1
-					}
-					if alpha < 0 {
-						alpha = 0
-					}
-					vap += alpha * h3
-					if hasWall && r.onWall(b, wall, ix, iy, iz) && p > wallP {
-						wallP = p
-					}
+	maxP, wallP := x[fPressure], x[fWallPressure]
+	var ke, vap float64
+	for iz := 0; iz < n; iz++ {
+		for iy := 0; iy < n; iy++ {
+			for ix := 0; ix < n; ix++ {
+				c := b.At(ix, iy, iz)
+				cons := physics.Cons{
+					R: float64(c[physics.QR]), RU: float64(c[physics.QU]),
+					RV: float64(c[physics.QV]), RW: float64(c[physics.QW]),
+					E: float64(c[physics.QE]), G: float64(c[physics.QG]), Pi: float64(c[physics.QP]),
+				}
+				kin := cons.KineticEnergy()
+				p := physics.Pressure(cons.E, kin, cons.G, cons.Pi)
+				if p > maxP {
+					maxP = p
+				}
+				ke += kin * h3
+				// Vapor volume fraction from the mixture Γ.
+				alpha := (cons.G - gL) / (gV - gL)
+				if alpha > 1 {
+					alpha = 1
+				}
+				if alpha < 0 {
+					alpha = 0
+				}
+				vap += alpha * h3
+				if hasWall && r.onWall(b, wall, ix, iy, iz) && p > wallP {
+					wallP = p
 				}
 			}
 		}
-		out[0], out[1] = ke, vap
-	})
-	d := Diagnostics{Time: r.Time, Step: r.Step}
-	d.MaxPressure = r.Comm.Allreduce(maxP, mpi.MaxOp)
-	d.WallPressure = r.Comm.Allreduce(wallP, mpi.MaxOp)
-	d.KineticEnergy = sums[0]
-	d.VaporVolume = sums[1]
-	d.EquivRadius = equivRadius(d.VaporVolume)
-	return d
+	}
+	x[fPressure], x[fWallPressure] = maxP, wallP
+	return append(x, ke, vap)
 }
 
 // equivRadius is the cloud-equivalent radius (3V/4π)^(1/3) of Figure 5.

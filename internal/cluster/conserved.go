@@ -1,13 +1,10 @@
 package cluster
 
 import (
-	"encoding/binary"
 	"math"
-	"sort"
 
 	"cubism/internal/core"
 	"cubism/internal/grid"
-	"cubism/internal/mpi"
 	"cubism/internal/physics"
 )
 
@@ -34,136 +31,58 @@ type Totals struct {
 	GlobalCells int64   // global cell count behind the integrals
 }
 
-// foldBlockSums computes k per-block partial sums via fn on every locally
-// owned block, then folds all partials globally in canonical block order:
-// each partial travels to rank 0 labeled with its block's canonical linear
-// id, rank 0 sorts by id and Kahan-folds each component, and the k global
-// sums are broadcast back. Because the fold order is a property of the
-// global block box — not of the layout, the rank count, or any migration
-// history — the result is bitwise identical across all of them. Collective.
-func (r *Rank) foldBlockSums(k int, fn func(b *grid.Block, out []float64)) []float64 {
-	const rec = 8 // bytes per encoded value (int64 id or float64 partial)
-	stride := (1 + k) * rec
-	payload := make([]byte, len(r.G.Blocks)*stride)
-	scratch := make([]float64, k)
-	for i, b := range r.G.Blocks {
-		for j := range scratch {
-			scratch[j] = 0
-		}
-		fn(b, scratch)
-		off := i * stride
-		binary.LittleEndian.PutUint64(payload[off:], uint64(r.Layout.LinearID([3]int{b.X, b.Y, b.Z})))
-		for j, v := range scratch {
-			binary.LittleEndian.PutUint64(payload[off+(1+j)*rec:], math.Float64bits(v))
-		}
-	}
-	parts := r.Comm.GatherBytesRoot(payload)
-	var result []byte
-	if r.Comm.Rank() == 0 {
-		type entry struct {
-			id       int64
-			partials []float64
-		}
-		var all []entry
-		for _, p := range parts {
-			for off := 0; off < len(p); off += stride {
-				e := entry{
-					id:       int64(binary.LittleEndian.Uint64(p[off:])),
-					partials: make([]float64, k),
-				}
-				for j := 0; j < k; j++ {
-					e.partials[j] = math.Float64frombits(binary.LittleEndian.Uint64(p[off+(1+j)*rec:]))
-				}
-				all = append(all, e)
-			}
-		}
-		sort.Slice(all, func(a, b int) bool { return all[a].id < all[b].id })
-		result = make([]byte, k*rec)
-		for j := 0; j < k; j++ {
-			var s core.KahanSum
-			for _, e := range all {
-				s.Add(e.partials[j])
-			}
-			binary.LittleEndian.PutUint64(result[j*rec:], math.Float64bits(s.Value()))
-		}
-	}
-	result = r.Comm.BcastBytes(result)
-	out := make([]float64, k)
-	for j := range out {
-		out[j] = math.Float64frombits(binary.LittleEndian.Uint64(result[j*rec:]))
-	}
-	return out
+// ConservedTotals integrates the conserved quantities over the global
+// domain in one collective fold (see EndStep) whose result every rank
+// receives. Its bit patterns are invariant under the layout, the rank count
+// and any migration history, so the checksum files of a cartesian run
+// compare bitwise against a rebalanced SFC run.
+func (r *Rank) ConservedTotals() Totals {
+	return r.EndStep(Schedule{AuditEvery: 1}, 0).Totals
 }
 
-// ConservedTotals integrates the conserved quantities over the global
-// domain. The five integrals fold per-block Kahan partials in canonical
-// block order (foldBlockSums), so their bit patterns are invariant under
-// the layout, the rank count and any migration history — this is what lets
-// the checksum files of a cartesian run be compared bitwise against a
-// rebalanced SFC run. All ranks must call it collectively; every rank
-// receives the global result.
-func (r *Rank) ConservedTotals() Totals {
-	g := r.G
-	n := g.N
-	h3 := g.H * g.H * g.H
-	gMin, gMax := math.Inf(1), math.Inf(-1)
-	piMin, piMax := math.Inf(1), math.Inf(-1)
-	nonFinite := 0
-	sums := r.foldBlockSums(6, func(b *grid.Block, out []float64) {
-		var mass, mx, my, mz, e, amom core.KahanSum
-		for iz := 0; iz < n; iz++ {
-			for iy := 0; iy < n; iy++ {
-				for ix := 0; ix < n; ix++ {
-					c := b.At(ix, iy, iz)
-					for q := 0; q < physics.NQ; q++ {
-						if !finite32(c[q]) {
-							nonFinite++
-							break
-						}
+// auditBlock appends block b's six Kahan partials (mass, momentum, energy,
+// |momentum|) to x and updates the bounds and non-finite count in its head.
+func (r *Rank) auditBlock(x []float64, b *grid.Block) []float64 {
+	n := r.G.N
+	gMin, gMax := x[fGammaMin], x[fGammaMax]
+	piMin, piMax := x[fPiMin], x[fPiMax]
+	var mass, mx, my, mz, e, amom core.KahanSum
+	for iz := 0; iz < n; iz++ {
+		for iy := 0; iy < n; iy++ {
+			for ix := 0; ix < n; ix++ {
+				c := b.At(ix, iy, iz)
+				for q := 0; q < physics.NQ; q++ {
+					if !finite32(c[q]) {
+						x[fNonFinite]++
+						break
 					}
-					mass.Add(float64(c[physics.QR]))
-					mx.Add(float64(c[physics.QU]))
-					my.Add(float64(c[physics.QV]))
-					mz.Add(float64(c[physics.QW]))
-					e.Add(float64(c[physics.QE]))
-					amom.Add(abs64(float64(c[physics.QU])) +
-						abs64(float64(c[physics.QV])) + abs64(float64(c[physics.QW])))
-					gv, pv := float64(c[physics.QG]), float64(c[physics.QP])
-					if gv < gMin {
-						gMin = gv
-					}
-					if gv > gMax {
-						gMax = gv
-					}
-					if pv < piMin {
-						piMin = pv
-					}
-					if pv > piMax {
-						piMax = pv
-					}
+				}
+				mass.Add(float64(c[physics.QR]))
+				mx.Add(float64(c[physics.QU]))
+				my.Add(float64(c[physics.QV]))
+				mz.Add(float64(c[physics.QW]))
+				e.Add(float64(c[physics.QE]))
+				amom.Add(abs64(float64(c[physics.QU])) +
+					abs64(float64(c[physics.QV])) + abs64(float64(c[physics.QW])))
+				gv, pv := float64(c[physics.QG]), float64(c[physics.QP])
+				if gv < gMin {
+					gMin = gv
+				}
+				if gv > gMax {
+					gMax = gv
+				}
+				if pv < piMin {
+					piMin = pv
+				}
+				if pv > piMax {
+					piMax = pv
 				}
 			}
 		}
-		out[0], out[1], out[2] = mass.Value(), mx.Value(), my.Value()
-		out[3], out[4], out[5] = mz.Value(), e.Value(), amom.Value()
-	})
-	t := Totals{
-		Time:        r.Time,
-		Step:        r.Step,
-		Mass:        sums[0] * h3,
-		MomX:        sums[1] * h3,
-		MomY:        sums[2] * h3,
-		MomZ:        sums[3] * h3,
-		Energy:      sums[4] * h3,
-		AbsMomSum:   sums[5] * h3,
-		GammaMin:    r.Comm.Allreduce(gMin, mpi.MinOp),
-		GammaMax:    r.Comm.Allreduce(gMax, mpi.MaxOp),
-		PiMin:       r.Comm.Allreduce(piMin, mpi.MinOp),
-		PiMax:       r.Comm.Allreduce(piMax, mpi.MaxOp),
-		NonFinite:   int(r.Comm.Allreduce(float64(nonFinite), mpi.SumOp)),
-		GlobalCells: int64(r.G.Desc.Cells()),
 	}
-	return t
+	x[fGammaMin], x[fGammaMax] = gMin, gMax
+	x[fPiMin], x[fPiMax] = piMin, piMax
+	return append(x, mass.Value(), mx.Value(), my.Value(), mz.Value(), e.Value(), amom.Value())
 }
 
 func finite32(v float32) bool {

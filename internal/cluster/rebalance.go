@@ -7,6 +7,7 @@ import (
 	"cubism/internal/layout"
 	"cubism/internal/mpi"
 	"cubism/internal/sfc"
+	"cubism/internal/telemetry"
 )
 
 // RebalanceResult reports one rebalance decision. All fields are identical
@@ -67,11 +68,7 @@ func imbalance(loads []float64) float64 {
 			max = v
 		}
 	}
-	if sum <= 0 {
-		return 0
-	}
-	avg := sum / float64(len(loads))
-	return max/avg - 1
+	return telemetry.Imbalance(max, sum/float64(len(loads)))
 }
 
 // loadCuts derives new curve cut points from the per-rank load vector:

@@ -49,11 +49,8 @@ type Spec struct {
 	// per-rank transport flags.
 	Args []string
 	// RankArgs (optional) returns extra arguments for one specific rank,
-	// appended after Args — how a supervisor gives each rank its own
-	// -step-log path, or only rank 0 an -observables path. Beware that
-	// telemetry flags (-step-log, -trace, -telemetry-addr) change a
-	// rank's collective schedule and must be attached uniformly across
-	// the fleet (see internal/sim's imbalance statistic).
+	// appended after Args — how a supervisor gives only rank 0 a
+	// -step-log or an -observables path.
 	RankArgs func(rank int) []string
 	// Stdout receives the [rank i]-prefixed output mux; Stderr receives
 	// launcher diagnostics. Either nil defaults to the os stream.

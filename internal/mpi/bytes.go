@@ -66,26 +66,6 @@ func bytesToInts(b []byte) []int64 {
 	return v
 }
 
-func f64ToBytes(x float64) []byte {
-	out := make([]byte, 8)
-	binary.LittleEndian.PutUint64(out, math.Float64bits(x))
-	return out
-}
-
-func bytesToF64(b []byte) float64 {
-	return math.Float64frombits(binary.LittleEndian.Uint64(b))
-}
-
-func i64ToBytes(x int64) []byte {
-	out := make([]byte, 8)
-	binary.LittleEndian.PutUint64(out, uint64(x))
-	return out
-}
-
-func bytesToI64(b []byte) int64 {
-	return int64(binary.LittleEndian.Uint64(b))
-}
-
 func f64SliceToBytes(v []float64) []byte {
 	out := make([]byte, 8*len(v))
 	for i, x := range v {

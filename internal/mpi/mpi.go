@@ -277,14 +277,6 @@ func MaxOp(a, b float64) float64 {
 	return b
 }
 
-// MinOp returns the smaller value.
-func MinOp(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // SumOp adds the values.
 func SumOp(a, b float64) float64 { return a + b }
 
@@ -301,51 +293,64 @@ func (c *Comm) nextCollTag() int {
 	return tag
 }
 
-// Allreduce combines x across all ranks with op and returns the result to
-// every rank. Rank 0 is the reduction root: it receives contributions in
-// ascending rank order and folds them in that order, so results are
-// deterministic (bit-reproducible) run to run and across transports.
-func (c *Comm) Allreduce(x float64, op Op) float64 {
+// Collectives returns the collective sequence number: how many collective
+// calls this rank has issued. Tests use it to pin a collective schedule.
+func (c *Comm) Collectives() uint64 { return c.collSeq }
+
+// Fold is the round trip every reduction lowers onto: rank 0 receives each
+// rank's vector in ascending rank order (its own at index 0), applies
+// combine (called on rank 0 only; others may pass nil) and returns the
+// result to every rank. Collective: all ranks call it in matching order.
+func (c *Comm) Fold(x []float64, combine func(parts [][]float64) []float64) []float64 {
 	tag := c.nextCollTag()
 	size := c.world.size
-	if size == 1 {
-		return x
+	if c.rank != 0 {
+		c.SendBytes(0, tag, f64SliceToBytes(x))
+		return bytesToF64Slice(c.RecvBytes(0, tag))
 	}
-	if c.rank == 0 {
-		acc := x
-		for r := 1; r < size; r++ {
-			acc = op(acc, bytesToF64(c.RecvBytes(r, tag)))
-		}
-		out := f64ToBytes(acc)
-		for r := 1; r < size; r++ {
-			c.SendBytes(r, tag, out)
+	parts := make([][]float64, size)
+	parts[0] = x
+	for r := 1; r < size; r++ {
+		parts[r] = bytesToF64Slice(c.RecvBytes(r, tag))
+	}
+	out := combine(parts)
+	buf := f64SliceToBytes(out)
+	for r := 1; r < size; r++ {
+		c.SendBytes(r, tag, buf)
+	}
+	return out
+}
+
+// AllreduceVec combines equal-length x elementwise across all ranks with
+// op, folded in ascending rank order, so results are bit-reproducible run
+// to run and across transports. Every rank receives the result.
+func (c *Comm) AllreduceVec(x []float64, op Op) []float64 {
+	return c.Fold(x, func(parts [][]float64) []float64 {
+		acc := append([]float64(nil), parts[0]...)
+		for _, p := range parts[1:] {
+			for i := range acc {
+				acc[i] = op(acc[i], p[i])
+			}
 		}
 		return acc
-	}
-	c.SendBytes(0, tag, f64ToBytes(x))
-	return bytesToF64(c.RecvBytes(0, tag))
+	})
+}
+
+// Allreduce combines x across all ranks with op (see AllreduceVec).
+func (c *Comm) Allreduce(x float64, op Op) float64 {
+	return c.AllreduceVec([]float64{x}, op)[0]
 }
 
 // Exscan returns the exclusive prefix sum of x over the ranks: rank r gets
 // the sum of x from ranks < r (0 for rank 0). The compressed dump uses it
-// to assign file offsets to variable-size rank buffers (paper §6).
+// to assign file offsets to variable-size rank buffers (paper §6); exact
+// below 2^53, as the values travel as float64.
 func (c *Comm) Exscan(x int64) int64 {
-	tag := c.nextCollTag()
-	size := c.world.size
-	if size == 1 {
-		return 0
+	var prefix int64
+	for _, v := range c.Gather(float64(x))[:c.rank] {
+		prefix += int64(v)
 	}
-	if c.rank == 0 {
-		prefix := x // running sum of ranks < r, for each r ≥ 1 in turn
-		for r := 1; r < size; r++ {
-			xr := bytesToI64(c.RecvBytes(r, tag))
-			c.SendBytes(r, tag, i64ToBytes(prefix))
-			prefix += xr
-		}
-		return 0
-	}
-	c.SendBytes(0, tag, i64ToBytes(x))
-	return bytesToI64(c.RecvBytes(0, tag))
+	return prefix
 }
 
 // Barrier blocks until all ranks arrive.
@@ -370,38 +375,13 @@ func (c *Comm) GatherBytesRoot(payload []byte) [][]byte {
 	return nil
 }
 
-// BcastBytes distributes rank 0's payload to every rank (rank 0 passes the
-// payload, others pass nil and receive a copy by reference). Collective.
-func (c *Comm) BcastBytes(payload []byte) []byte {
-	tag := c.nextCollTag()
-	size := c.world.size
-	if c.rank == 0 {
-		for r := 1; r < size; r++ {
-			c.SendBytes(r, tag, payload)
-		}
-		return payload
-	}
-	return c.RecvBytes(0, tag)
-}
-
 // Gather collects one float64 per rank on every rank (an allgather).
 func (c *Comm) Gather(x float64) []float64 {
-	tag := c.nextCollTag()
-	size := c.world.size
-	if c.rank == 0 {
-		out := make([]float64, size)
-		out[0] = x
-		for r := 1; r < size; r++ {
-			out[r] = bytesToF64(c.RecvBytes(r, tag))
-		}
-		if size > 1 {
-			buf := f64SliceToBytes(out)
-			for r := 1; r < size; r++ {
-				c.SendBytes(r, tag, buf)
-			}
+	return c.Fold([]float64{x}, func(parts [][]float64) []float64 {
+		out := make([]float64, len(parts))
+		for r, p := range parts {
+			out[r] = p[0]
 		}
 		return out
-	}
-	c.SendBytes(0, tag, f64ToBytes(x))
-	return bytesToF64Slice(c.RecvBytes(0, tag))
+	})
 }

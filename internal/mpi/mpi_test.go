@@ -63,7 +63,7 @@ func TestAllreduce(t *testing.T) {
 		if maxV != 4 {
 			t.Errorf("max = %g, want 4", maxV)
 		}
-		minV := c.Allreduce(float64(c.Rank()), MinOp)
+		minV := c.Allreduce(float64(c.Rank()), func(a, b float64) float64 { return -MaxOp(-a, -b) })
 		if minV != 0 {
 			t.Errorf("min = %g, want 0", minV)
 		}

@@ -661,18 +661,11 @@ func (s *Service) runFleet(j *Job) (stopped bool, err error) {
 		// or a long-step job loses its final checkpoint to the kill.
 		KillGrace: s.cfg.StopGrace + launch.KillGrace,
 		RankArgs: func(rank int) []string {
-			// Every rank gets a -step-log: attaching telemetry changes the
-			// rank's collective schedule (the per-step imbalance statistic
-			// costs three allreduces), so it must be uniform across the
-			// fleet or the ranks deadlock. Each rank writes its own file —
-			// all of them truncating one shared path would corrupt it —
-			// and only rank 0's is tailed into the event stream.
+			// Only rank 0 logs steps and writes the observables artifact;
+			// neither changes a rank's collective schedule.
 			if rank != 0 {
-				return []string{"-step-log",
-					filepath.Join(j.Dir, fmt.Sprintf("steps.rank%d.jsonl", rank))}
+				return nil
 			}
-			// Rank 0 additionally writes the observables artifact; the
-			// scenario observer is rank-local, so it stays rank-0-only.
 			return []string{"-step-log", stepLogPath, "-observables", obsPath}
 		},
 		Stdout: j.lineWriter("out"),

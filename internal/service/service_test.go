@@ -40,8 +40,8 @@ func argVal(name string) string {
 	return ""
 }
 
-// fakeSim emulates one mpcf-sim rank: rank 0 writes the structured step
-// log and the observables artifact; hang mode blocks until SIGINT and
+// fakeSim emulates one mpcf-sim rank: a rank given -step-log writes the
+// structured step log, rank 0 the observables artifact; hang mode blocks until SIGINT and
 // exits 130 like a graceful boundary stop.
 func fakeSim() {
 	rank, _ := strconv.Atoi(argVal("rank"))
@@ -51,17 +51,18 @@ func fakeSim() {
 		<-ch
 		os.Exit(130)
 	}
-	if rank == 0 {
-		if p := argVal("step-log"); p != "" {
-			f, err := os.Create(p)
-			if err == nil {
-				for i := 1; i <= 3; i++ {
-					fmt.Fprintf(f, `{"step":%d,"t":%g,"dt":0.001,"has_diag":true,"max_p":%g}`+"\n",
-						i, float64(i)*0.001, 100.0*float64(i))
-				}
-				f.Close()
+	// Like mpcf-sim, any rank given a -step-log writes one.
+	if p := argVal("step-log"); p != "" {
+		f, err := os.Create(p)
+		if err == nil {
+			for i := 1; i <= 3; i++ {
+				fmt.Fprintf(f, `{"step":%d,"t":%g,"dt":0.001,"has_diag":true,"max_p":%g}`+"\n",
+					i, float64(i)*0.001, 100.0*float64(i))
 			}
+			f.Close()
 		}
+	}
+	if rank == 0 {
 		if p := argVal("observables"); p != "" {
 			os.WriteFile(p, []byte(`{"peak_amp": 2.5, "non_finite": 0}`+"\n"), 0o644)
 		}
@@ -474,6 +475,11 @@ func TestFleetJobRunsAndStreams(t *testing.T) {
 	}
 	if logs == 0 {
 		t.Fatal("fleet stream carries no log events from the rank output mux")
+	}
+	// Only rank 0 logs steps: observers do not change a rank's collective
+	// schedule, so the other ranks need no throwaway step log.
+	if _, err := os.Stat(filepath.Join(j.Dir, "steps.rank1.jsonl")); !os.IsNotExist(err) {
+		t.Fatalf("rank 1 wrote a step log (stat: %v)", err)
 	}
 }
 

@@ -3,12 +3,13 @@ package sim
 import "sync"
 
 // Controller is the first-class cancellation hook of a run: Stop requests
-// that the step loop end at the next step boundary, where every rank
-// agrees on the stop step through a MaxOp allreduce — so stopping any one
-// rank (a local Stop call, a SIGINT to a single process of a tcp fleet)
-// stops the whole world at the same step, and the final checkpoint written
-// there is globally consistent. A stopped run returns normally with
-// Summary.Stopped set; it is a drain, not a failure.
+// that the step loop end at the next step boundary, where every rank,
+// with or without a controller, agrees on the stop step through the flag
+// the step's DT reduction carries — so stopping any one rank (a local Stop
+// call, a SIGINT to a single process of a tcp fleet) stops the whole world
+// at the same step, and the final checkpoint written there is globally
+// consistent. A stopped run returns normally with Summary.Stopped set; it
+// is a drain, not a failure.
 //
 // A Controller is reusable only for one run at a time; the zero value is
 // ready to use. All methods are safe for concurrent use.

@@ -87,10 +87,10 @@ type Config struct {
 	ForceRebalanceStep int
 
 	// Control (optional) attaches a cancellation controller: Stop() ends
-	// the run at the next step boundary. The stop decision is collective
-	// (a MaxOp allreduce per step while a controller is attached), so
-	// every rank stops at the same step and a Stop on any one rank of a
-	// distributed world stops the whole fleet. See Controller.
+	// the run at the next step boundary. The stop flag rides the DT
+	// reduction every rank issues each step, so every rank stops at the
+	// same step and a Stop on any one rank of a distributed world stops the
+	// whole fleet. See Controller.
 	Control *Controller
 	// StopCheckpoint writes a final checkpoint to CheckpointPath when a
 	// controller stop ends the run, even when periodic checkpointing
@@ -108,6 +108,7 @@ type Config struct {
 	// structured step log. Nil disables all instrumentation beyond a
 	// per-phase pointer check; when set, the tracer is also threaded into
 	// the cluster and node layers (unless Cluster.Tracer is already set).
+	// It issues no collectives, so it may differ between ranks.
 	Telemetry *telemetry.Set
 
 	// Observe (optional) enables the cross-rank performance observatory:
@@ -130,10 +131,10 @@ type StepInfo struct {
 	Time float64
 	DT   float64
 	// WallMS is rank 0's wall-clock time for this step in milliseconds
-	// (advance + diagnostics + dumps + checkpoints).
+	// (DT, RK, dumps, checkpoints and the end-of-step fold).
 	WallMS float64
-	// Imbalance is the cross-rank step-time statistic (tmax-tmin)/tavg,
-	// computed only when Config.Telemetry is set (it costs reductions).
+	// Imbalance is max/avg − 1 of the ranks' step times up to the
+	// end-of-step fold, which computes it every step.
 	Imbalance float64
 	// Diag is valid when HasDiag is set (DiagEvery cadence).
 	Diag    cluster.Diagnostics
@@ -232,7 +233,7 @@ func Run(cfg Config, onStep func(StepInfo)) (Summary, error) {
 		simTimeG = reg.Gauge("mpcf_sim_time", "simulated time", nil)
 		dtG = reg.Gauge("mpcf_dt_seconds", "current CFL time step", nil)
 		imbalanceG = reg.Gauge("mpcf_step_imbalance",
-			"cross-rank step-time (tmax-tmin)/tavg", nil)
+			"cross-rank step-time max/avg-1", nil)
 		dumpMBpsG = reg.Gauge("mpcf_dump_mbps", "encoded dump bitrate, MB/s", nil)
 		pointsRateG = reg.Gauge("mpcf_points_per_second",
 			"sustained grid points per second", nil)
@@ -283,6 +284,8 @@ func Run(cfg Config, onStep func(StepInfo)) (Summary, error) {
 				gauge.Set(float64(len(r.Layout.Blocks(rk))))
 			}
 		}
+		sched := cluster.Schedule{DiagEvery: max(cfg.DiagEvery, 1), AuditEvery: cfg.AuditEvery,
+			Wall: cfg.Wall, HasWall: cfg.HasWall}
 		start := time.Now()
 		stopped := false
 		for {
@@ -295,46 +298,31 @@ func Run(cfg Config, onStep func(StepInfo)) (Summary, error) {
 			if cfg.Steps == 0 && cfg.TEnd == 0 {
 				break
 			}
-			if cfg.Control != nil {
-				// Collective stop check at the step boundary: MaxOp over
-				// the per-rank stop flags, so every rank agrees on the
-				// stop step and any single rank's Stop drains the whole
-				// world. Runs only while a controller is attached.
-				flag := 0.0
-				if cfg.Control.StopRequested() {
-					flag = 1
-				}
-				if r.Comm.Allreduce(flag, mpi.MaxOp) > 0 {
-					// All ranks agreed on the stop step; acknowledge before
-					// the checkpoint write so supervisors cancel force-exit
-					// fallbacks that would kill it mid-write.
-					cfg.Control.Acknowledge()
-					if cfg.CheckpointPath != "" && (cfg.StopCheckpoint || cfg.CheckpointEvery > 0) {
-						// The final consistent checkpoint of the drain:
-						// all ranks stopped at the same boundary, so the
-						// job can resume from exactly here.
-						if err := r.SaveCheckpoint(cfg.CheckpointPath); err != nil {
-							runErr = err
-							return
-						}
-					}
-					stopped = true
-					break
-				}
-			}
 			stepStart := time.Now()
 			stepSpan := tracer.StartSpan("step", comm.Rank(), 0)
-			dt := r.Advance()
+			// The step's first collective: the stop flag rides the DT
+			// reduction, so every rank agrees on the stop step and any
+			// single rank's Stop drains the whole world.
+			dt, stop := r.BeginStep(cfg.Control.StopRequested())
+			if stop {
+				// All ranks agreed on the stop step; acknowledge before
+				// the checkpoint write so supervisors cancel force-exit
+				// fallbacks that would kill it mid-write.
+				cfg.Control.Acknowledge()
+				if cfg.CheckpointPath != "" && (cfg.StopCheckpoint || cfg.CheckpointEvery > 0) {
+					// The final consistent checkpoint of the drain: all
+					// ranks stopped at the same boundary, so the job can
+					// resume from exactly here.
+					if err := r.SaveCheckpoint(cfg.CheckpointPath); err != nil {
+						runErr = err
+						return
+					}
+				}
+				stopped = true
+				break
+			}
 			info := StepInfo{Step: r.Step, Time: r.Time, DT: dt}
 
-			if cfg.DiagEvery == 0 || r.Step%max(cfg.DiagEvery, 1) == 0 {
-				info.Diag = r.Diagnose(cfg.Wall, cfg.HasWall)
-				info.HasDiag = true
-			}
-			if cfg.AuditEvery > 0 && r.Step%cfg.AuditEvery == 0 {
-				info.Totals = r.ConservedTotals()
-				info.HasTotals = true
-			}
 			if cfg.DumpEvery > 0 && r.Step%cfg.DumpEvery == 0 {
 				rates := map[string]float64{}
 				dumpStart := time.Now()
@@ -374,23 +362,14 @@ func Run(cfg Config, onStep func(StepInfo)) (Summary, error) {
 					return
 				}
 			}
+			// The step's second and last collective; the imbalance input is
+			// the step time up to here.
+			f := r.EndStep(sched, time.Since(stepStart).Seconds())
+			info.Imbalance = f.Imbalance
+			info.Diag, info.HasDiag = f.Diag, f.HasDiag
+			info.Totals, info.HasTotals = f.Totals, f.HasTotals
 			stepSpan.End()
-			stepSec := time.Since(stepStart).Seconds()
-			info.WallMS = stepSec * 1e3
-			if tel != nil {
-				// Cross-rank imbalance of this step's wall time, the
-				// (tmax-tmin)/tavg statistic of Table 4. Costs three
-				// reductions, so it runs only with telemetry attached —
-				// which therefore must be attached uniformly across the
-				// fleet: these are collectives, and a world where only
-				// some ranks carry telemetry deadlocks.
-				tmax := r.Comm.Allreduce(stepSec, mpi.MaxOp)
-				tmin := r.Comm.Allreduce(stepSec, mpi.MinOp)
-				tsum := r.Comm.Allreduce(stepSec, mpi.SumOp)
-				if avg := tsum / float64(nRanks); avg > 0 {
-					info.Imbalance = (tmax - tmin) / avg
-				}
-			}
+			info.WallMS = time.Since(stepStart).Seconds() * 1e3
 			if obs != nil {
 				// Step-boundary observatory flush: the step's last ghost
 				// exchange already opened a fresh tag epoch, so the batch
@@ -421,7 +400,7 @@ func Run(cfg Config, onStep func(StepInfo)) (Summary, error) {
 			}
 			if root {
 				if reg != nil {
-					stepHist.Observe(stepSec)
+					stepHist.Observe(info.WallMS / 1e3)
 					stepsTotal.Inc()
 					simTimeG.Set(r.Time)
 					dtG.Set(dt)

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"io"
 	"strings"
 	"testing"
 
@@ -71,7 +72,7 @@ func TestRunWithTelemetry(t *testing.T) {
 			"ghost_exchange": 3 * steps,
 			"halo_wait":      3 * steps,
 			"dump":           2 * 2, // two quantities, every other step
-			"diagnose":       steps / 2,
+			"fold":           steps, // one end-of-step fold per step
 			"RHS.worker":     1,
 			"fwt_decimate":   1,
 		} {
@@ -133,8 +134,9 @@ func TestRunWithTelemetry(t *testing.T) {
 	}
 }
 
-// TestRunWithoutTelemetry pins the disabled path: no telemetry config, no
-// imbalance reductions, zero-value instrumentation fields.
+// TestRunWithoutTelemetry pins the disabled path on a single rank: no
+// telemetry config, a measured WallMS, and an imbalance of exactly zero
+// (one rank is its own maximum and average).
 func TestRunWithoutTelemetry(t *testing.T) {
 	cfg := Config{
 		Cluster: cluster.Config{
@@ -157,6 +159,81 @@ func TestRunWithoutTelemetry(t *testing.T) {
 		t.Error("WallMS should be measured even without telemetry")
 	}
 	if last.Imbalance != 0 {
-		t.Error("imbalance must stay zero without telemetry")
+		t.Error("imbalance must stay zero on a single rank")
+	}
+
+	// Two ranks, still without telemetry: the end-of-step fold computes
+	// the imbalance every step, and max/avg − 1 over two ranks lies in
+	// [0, 1]. Two ranks timing identical steps to the nanosecond on every
+	// step is not a case that occurs.
+	cfg.Cluster.RankDims = [3]int{2, 1, 1}
+	cfg.Cluster.BlockDims = [3]int{1, 2, 2}
+	cfg.Steps = 3
+	var imb []float64
+	if _, err := Run(cfg, func(s StepInfo) { imb = append(imb, s.Imbalance) }); err != nil {
+		t.Fatal(err)
+	}
+	positive := false
+	for _, v := range imb {
+		if v < 0 || v > 1 {
+			t.Errorf("2-rank imbalance %v outside [0, 1]", v)
+		}
+		positive = positive || v > 0
+	}
+	if !positive {
+		t.Errorf("2-rank imbalance never computed without telemetry: %v", imb)
+	}
+}
+
+// TestCollectiveScheduleIgnoresObservers pins the per-step collective
+// schedule of a 2-rank run at fixed diagnostics and audit cadences: two
+// collectives per step (the DT reduction carrying the stop flag, and the
+// end-of-step fold), the same count and bitwise-equal totals whatever
+// Telemetry and Control are set to.
+func TestCollectiveScheduleIgnoresObservers(t *testing.T) {
+	const steps = 5
+	type result struct {
+		colls [2]uint64
+		tot   cluster.Totals
+	}
+	run := func(tel, ctl bool) result {
+		var res result
+		cfg := controlCfg(steps, nil)
+		cfg.DiagEvery, cfg.AuditEvery = 2, 3
+		cfg.OnFinish = func(r *cluster.Rank) {
+			res.colls[r.Comm.Rank()] = r.Comm.Collectives()
+			tot := r.ConservedTotals()
+			if r.Comm.Rank() == 0 {
+				res.tot = tot
+			}
+		}
+		if tel {
+			cfg.Telemetry = &telemetry.Set{
+				Tracer:  telemetry.NewTracer(),
+				Metrics: telemetry.NewRegistry(),
+				StepLog: telemetry.NewStepLogger(io.Discard),
+			}
+		}
+		if ctl {
+			cfg.Control = NewController()
+		}
+		if _, err := Run(cfg, nil); err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	ref := run(false, false)
+	for _, c := range []struct {
+		name     string
+		tel, ctl bool
+	}{{"none", false, false}, {"telemetry", true, false}, {"control", false, true}, {"both", true, true}} {
+		got := run(c.tel, c.ctl)
+		for rank, n := range got.colls {
+			if n != 2*steps {
+				t.Errorf("%s: rank %d issued %d collectives in %d steps, want 2 per step",
+					c.name, rank, n, steps)
+			}
+		}
+		assertTotalsBitwise(t, c.name, ref.tot, got.tot)
 	}
 }

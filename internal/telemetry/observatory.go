@@ -245,11 +245,11 @@ type StepImbalance struct {
 // paper's Table 4: per-phase max/avg-1 percentages per step and aggregated
 // over the run, with straggler attribution.
 type ImbalanceReport struct {
-	Ranks          int    `json:"ranks"`
-	StepsObserved  int    `json:"steps_observed"`
-	MissingBatches int    `json:"missing_batches"`
-	FirstStep      int    `json:"first_step"`
-	LastStep       int    `json:"last_step"`
+	Ranks          int `json:"ranks"`
+	StepsObserved  int `json:"steps_observed"`
+	MissingBatches int `json:"missing_batches"`
+	FirstStep      int `json:"first_step"`
+	LastStep       int `json:"last_step"`
 	// Run aggregates each phase's per-rank cumulative time over the whole
 	// observed window.
 	Run map[string]PhaseStat `json:"run"`
@@ -258,10 +258,10 @@ type ImbalanceReport struct {
 	// Straggler is the rank with the largest cumulative step wall time;
 	// StragglerWait names its dominant wait phase and the per-step average
 	// milliseconds it spent there.
-	Straggler           int     `json:"straggler"`
-	StragglerExcessPct  float64 `json:"straggler_excess_pct"` // its wall time over the rank average, percent
-	StragglerWait       string  `json:"straggler_wait,omitempty"`
-	StragglerWaitAvgMS  float64 `json:"straggler_wait_avg_ms,omitempty"`
+	Straggler          int     `json:"straggler"`
+	StragglerExcessPct float64 `json:"straggler_excess_pct"` // its wall time over the rank average, percent
+	StragglerWait      string  `json:"straggler_wait,omitempty"`
+	StragglerWaitAvgMS float64 `json:"straggler_wait_avg_ms,omitempty"`
 	// Counters is the last counter snapshot per rank (distributed runs).
 	Counters map[int]map[string]float64 `json:"counters,omitempty"`
 }
@@ -288,10 +288,20 @@ func maxAvg(values map[int]float64) PhaseStat {
 	}
 	st.Ranks = len(values)
 	st.AvgMS = sum / float64(len(values))
-	if st.AvgMS > 0 && len(values) > 1 {
-		st.Imbalance = 100 * (st.MaxMS/st.AvgMS - 1)
+	if len(values) > 1 {
+		st.Imbalance = 100 * Imbalance(st.MaxMS, st.AvgMS)
 	}
 	return st
+}
+
+// Imbalance is the one cross-rank imbalance definition, max/avg − 1 (0
+// when avg is not positive): a ratio for the step statistic and the
+// rebalancer, a percentage in the observatory.
+func Imbalance(max, avg float64) float64 {
+	if !(avg > 0) { // also an empty set's NaN average
+		return 0
+	}
+	return max/avg - 1
 }
 
 // dominantWait returns the wait phase with the largest value in phases,

@@ -17,7 +17,7 @@ type StepRecord struct {
 	// KernelMS is the wall-clock time each kernel spent during this step
 	// (rank 0), in milliseconds.
 	KernelMS map[string]float64 `json:"kernel_ms,omitempty"`
-	// Imbalance is the cross-rank step-time statistic (tmax-tmin)/tavg.
+	// Imbalance is the cross-rank step-time statistic max/avg − 1.
 	Imbalance float64 `json:"imbalance,omitempty"`
 	// DumpRates maps dumped quantity to its compression rate (raw:encoded).
 	DumpRates map[string]float64 `json:"dump_rates,omitempty"`
