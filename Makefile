@@ -29,9 +29,12 @@ race:
 	$(GO) test -race ./internal/telemetry ./internal/sim ./internal/cluster ./internal/layout ./internal/node ./internal/transport ./internal/mpi ./internal/service ./internal/compress ./internal/dump
 	$(GO) test -race -count=50 -run TestPool ./internal/node
 
-# Flake sweep of the packages that own the per-step collective schedule:
+# Flake sweep of the concurrency packages — the per-step collective
+# schedule (sim, cluster, mpi), the worker pool (node), the wire (transport,
+# launch), the telemetry sinks and the service with its scenario builds:
 # shuffled repeats, a single-P leg and a race leg (CI runs it nightly).
-FLAKE_PKGS = ./internal/sim ./internal/cluster ./internal/mpi ./internal/service
+FLAKE_PKGS = ./internal/sim ./internal/cluster ./internal/mpi ./internal/service \
+	./internal/node ./internal/transport ./internal/launch ./internal/telemetry ./internal/scenario
 flake:
 	$(GO) test -count=20 -shuffle=on $(FLAKE_PKGS)
 	GOMAXPROCS=1 $(GO) test -count=5 $(FLAKE_PKGS)

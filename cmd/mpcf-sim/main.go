@@ -1,6 +1,6 @@
 // mpcf-sim is the production-style simulation driver: cloud cavitation
-// collapse with configurable decomposition, kernels, dumps, diagnostics
-// and telemetry (see docs/observability.md).
+// collapse with configurable decomposition, dumps, diagnostics and
+// telemetry (see docs/observability.md).
 //
 // Usage examples:
 //
@@ -65,8 +65,6 @@ func main() {
 	n := flag.Int("n", 16, "block edge in cells (paper production: 32)")
 	steps := flag.Int("steps", 100, "number of time steps")
 	workers := flag.Int("workers", 0, "workers per rank (0: NumCPU)")
-	vector := flag.Bool("vector", false, "use the QPX-model vector kernels")
-	pipeline := flag.Bool("pipeline", true, "dependency-driven fused RHS+UP pipeline (false: bulk-synchronous staged baseline)")
 	layoutName := flag.String("layout", "", "block-to-rank layout: cartesian (default), hilbert, morton or rowmajor (see docs/sharding.md)")
 	rebalanceEvery := flag.Int("rebalance-every", 0, "measure load imbalance every so many steps and migrate blocks on SFC layouts when it exceeds the threshold (0: never)")
 	rebalanceThreshold := flag.Float64("rebalance-threshold", 0, "max/avg-1 imbalance that triggers a rebalance (0: 0.1)")
@@ -231,8 +229,6 @@ func main() {
 		BlockSize:       *n,
 		Extent:          1.0,
 		Workers:         *workers,
-		Vector:          *vector,
-		Pipeline:        *pipeline,
 		Layout:          *layoutName,
 		Steps:           *steps,
 		DumpEvery:       *dumpEvery,

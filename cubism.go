@@ -9,9 +9,12 @@
 // stepping, on a block-structured uniform grid reindexed by a space-filling
 // curve. The software follows the paper's three-layer design — cluster
 // (domain decomposition over a simulated MPI runtime), node (dynamic
-// one-block work scheduling over goroutines), core (scalar and 4-lane
-// "QPX"-model vector kernels) — and includes the paper's wavelet-based
-// compression scheme for data dumps.
+// one-block work scheduling over goroutines), core (the scalar kernels) —
+// and includes the paper's wavelet-based compression scheme for data dumps.
+// Every run takes one path: scalar kernels, the low-storage RK3 and the
+// pipelined fused RHS+UP stage. The 4-lane "QPX"-model vector kernels are
+// the instruction-accounting experiment of the paper's Tables 7–9
+// (cmd/mpcf-bench), not a runtime option.
 //
 // Quick start:
 //
@@ -182,7 +185,7 @@ type Config struct {
 	// Blocks is the number of blocks per rank per dimension.
 	Blocks [3]int
 	// BlockSize is the block edge in cells (the paper's production size is
-	// 32; it must be a multiple of 4 and at least 8).
+	// 32). It must be at least twice the stencil width, i.e. 6.
 	BlockSize int
 	// Extent is the physical domain size along x.
 	Extent float64
@@ -190,19 +193,8 @@ type Config struct {
 	Boundaries BC
 	// Workers is the number of worker goroutines per rank (0: NumCPU).
 	Workers int
-	// Vector selects the QPX-model vector kernels.
-	Vector bool
 	// CFL is the time-step safety factor (0 defaults to the paper's 0.3).
 	CFL float64
-	// TimeStepper selects the Runge-Kutta formulation: "lsrk3" (default,
-	// the paper's low-storage scheme) or "ssprk3" (three-register ablation).
-	TimeStepper string
-	// Pipeline selects the dependency-driven execution model for lsrk3
-	// steps: fused per-block RHS+UP tasks on the persistent worker pool,
-	// released per installed halo face. False (the default) keeps the
-	// bulk-synchronous staged baseline; both are bitwise identical. The CLI
-	// drivers default this on via their -pipeline flag.
-	Pipeline bool
 	// Init provides the initial condition in global coordinates.
 	Init func(x, y, z float64) State
 
@@ -448,18 +440,16 @@ func Run(cfg Config, onStep func(StepInfo)) (Summary, error) {
 	}
 	summary, err := sim.Run(sim.Config{
 		Cluster: cluster.Config{
-			RankDims:    ranks,
-			BlockDims:   cfg.Blocks,
-			BlockSize:   cfg.BlockSize,
-			Extent:      cfg.Extent,
-			BC:          cfg.Boundaries,
-			Workers:     cfg.Workers,
-			Vector:      cfg.Vector,
-			CFL:         cfl,
-			TimeStepper: cfg.TimeStepper,
-			Pipeline:    cfg.Pipeline,
-			Init:        cfg.Init,
-			Layout:      cfg.Layout,
+			RankDims:  ranks,
+			BlockDims: cfg.Blocks,
+			BlockSize: cfg.BlockSize,
+			Extent:    cfg.Extent,
+			BC:        cfg.Boundaries,
+			Workers:   cfg.Workers,
+			CFL:       cfl,
+			Pipeline:  true,
+			Init:      cfg.Init,
+			Layout:    cfg.Layout,
 		},
 		RebalanceEvery:     cfg.RebalanceEvery,
 		RebalanceThreshold: cfg.RebalanceThreshold,

@@ -75,22 +75,39 @@ func TestPublicAPICloudWithDumps(t *testing.T) {
 	}
 }
 
-func TestPublicAPIMultiRankVector(t *testing.T) {
+// TestPublicAPIMultiRank: a multi-rank Run steps on the production
+// pipelined model — fused RHSUP stages fed by per-link halo installs, never
+// a separate UP phase.
+func TestPublicAPIMultiRank(t *testing.T) {
+	tel := &Telemetry{Tracer: NewTracer()}
 	sum, err := Run(Config{
 		Ranks:     [3]int{2, 1, 1},
 		Blocks:    [3]int{1, 1, 1},
 		BlockSize: 8,
 		Extent:    1,
-		Vector:    true,
 		Init:      SodInit,
 		Steps:     3,
 		DiagEvery: 1,
+		Telemetry: tel,
 	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sum.GlobalCells != 2*8*8*8 {
 		t.Fatalf("cells = %d", sum.GlobalCells)
+	}
+	spans := map[string]int{}
+	for _, ev := range tel.Tracer.Export().TraceEvents {
+		if ev.Ph == "X" {
+			spans[ev.Name]++
+		}
+	}
+	if spans["RHSUP"] == 0 || spans["halo_install"] == 0 {
+		t.Errorf("trace has %d RHSUP and %d halo_install spans, want both > 0",
+			spans["RHSUP"], spans["halo_install"])
+	}
+	if spans["UP"] != 0 {
+		t.Errorf("trace has %d staged UP spans, want 0", spans["UP"])
 	}
 }
 

@@ -83,6 +83,7 @@ func run(pb problem, cells int) (l1r, l1u, l1p float64) {
 		BC:        grid.DefaultBC(),
 		Workers:   2,
 		CFL:       0.3,
+		Pipeline:  true,
 		Init: func(x, y, z float64) physics.Prim {
 			if x < 0.5 {
 				return pb.left

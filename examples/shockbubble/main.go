@@ -20,9 +20,8 @@ import (
 )
 
 func main() {
-	n := flag.Int("n", 16, "block edge in cells (multiple of 4)")
+	n := flag.Int("n", 16, "block edge in cells (at least 6)")
 	steps := flag.Int("steps", 120, "number of time steps")
-	vector := flag.Bool("vector", false, "use the QPX-model vector kernels")
 	flag.Parse()
 
 	const (
@@ -38,7 +37,6 @@ func main() {
 		Blocks:    [3]int{4, 4, 4},
 		BlockSize: *n,
 		Extent:    1.0,
-		Vector:    *vector,
 		Steps:     *steps,
 		DiagEvery: 5,
 		Init: func(x, y, z float64) cubism.State {

@@ -42,19 +42,17 @@ type Config struct {
 	BC grid.BC
 	// Workers per rank (0: NumCPU).
 	Workers int
-	// Vector selects the QPX kernel variants.
-	Vector bool
 	// CFL is the time step safety factor (paper: 0.3).
 	CFL float64
-	// TimeStepper selects the Runge-Kutta formulation: "lsrk3" (default,
-	// the paper's low-storage 2N scheme) or "ssprk3" (classic three-register
-	// Shu-Osher scheme, the memory-footprint ablation).
-	TimeStepper string
-	// Pipeline selects the dependency-driven execution model for lsrk3
-	// steps: per-block fused RHS+UP tasks on the persistent worker pool,
-	// with halo blocks released per installed face. False (the zero value)
-	// keeps the bulk-synchronous staged path, the ablation baseline.
-	// ssprk3 always runs staged. Both paths are bitwise identical.
+	// Pipeline selects the execution model of the low-storage RK3 step.
+	// True is the production model: per-block fused RHS+UP tasks on the
+	// persistent worker pool, with halo blocks released per installed face.
+	// The three constructors of production configs — cubism.Run,
+	// scenario.Build and verify's runCase — set it. False (the zero value)
+	// keeps the bulk-synchronous staged step with separate RHS and UP
+	// phases: the bitwise reference of the pipelined step and the source
+	// of the separate RHS/UP rows of Figure 7, Table 6 and the benchmark
+	// probes. Both models are bitwise identical.
 	Pipeline bool
 	// Layout selects the cross-rank block decomposition: "" or "cartesian"
 	// (the paper's fixed rank grid), or an SFC partition — "hilbert",
@@ -113,7 +111,6 @@ type Rank struct {
 
 	reg                  [][]float32 // low-storage Runge-Kutta registers, one per block
 	rhs                  [][]float32 // RHS evaluation buffers, one per block
-	u0                   [][]float32 // step-initial copies, allocated only for ssprk3
 	interior, haloBlocks []*grid.Block
 	interiorRHS, haloRHS [][]float32
 
@@ -181,7 +178,7 @@ func NewRank(comm *mpi.Comm, cfg Config) *Rank {
 		Comm:   comm,
 		Layout: lay,
 		G:      g,
-		Engine: node.New(g, cfg.BC, cfg.Workers, cfg.Vector),
+		Engine: node.New(g, cfg.BC, cfg.Workers, false),
 		Mon:    perf.NewMonitor(),
 		tr:     cfg.Tracer,
 		rankID: comm.Rank(),
@@ -210,13 +207,6 @@ func (r *Rank) allocBuffers() {
 	for i := range r.reg {
 		r.reg[i] = make([]float32, per)
 		r.rhs[i] = make([]float32, per)
-	}
-	r.u0 = nil
-	if r.Cfg.TimeStepper == "ssprk3" {
-		r.u0 = make([][]float32, nb)
-		for i := range r.u0 {
-			r.u0[i] = make([]float32, per)
-		}
 	}
 }
 
@@ -392,22 +382,16 @@ func (r *Rank) maxDT(stop bool) (dt float64, stopped bool) {
 	return r.Cfg.CFL * r.G.H / global[0], global[1] > 0
 }
 
-// RKStep advances one full Runge-Kutta step of size dt: three stages of
-// ghost exchange, RHS evaluation (interior overlapped with communication)
-// and UP update.
+// RKStep advances one full low-storage Runge-Kutta step of size dt: three
+// stages of ghost exchange, RHS evaluation (interior overlapped with
+// communication) and UP update, either pipelined or staged (Cfg.Pipeline).
 func (r *Rank) RKStep(dt float64) {
-	if r.Cfg.Pipeline && r.u0 == nil {
+	if r.Cfg.Pipeline {
 		r.rkStepPipelined(dt)
 		return
 	}
 	cells := int64(r.G.Cells())
 	values := cells * physics.NQ
-	ssp := r.u0 != nil
-	if ssp {
-		for i, b := range r.G.Blocks {
-			copy(r.u0[i], b.Data)
-		}
-	}
 	for s := 0; s < 3; s++ {
 		recvs := r.ExchangeGhosts(s)
 		t0 := time.Now()
@@ -421,13 +405,7 @@ func (r *Rank) RKStep(dt float64) {
 
 		t0 = time.Now()
 		upSpan := r.tr.StartSpan("UP", r.rankID, 0)
-		if ssp {
-			for i, b := range r.G.Blocks {
-				core.UpdateSSP(b.Data, r.u0[i], r.rhs[i], s, dt)
-			}
-		} else {
-			r.Engine.Update(r.G.Blocks, r.reg, r.rhs, core.RK3A[s], core.RK3B[s], dt)
-		}
+		r.Engine.Update(r.G.Blocks, r.reg, r.rhs, core.RK3A[s], core.RK3B[s], dt)
 		upSpan.End()
 		r.Mon.Kernel("UP").RecordSince(t0,
 			values*core.UpdateFlopsPerValue, values*core.UpdateBytesPerValue)
@@ -436,7 +414,7 @@ func (r *Rank) RKStep(dt float64) {
 	r.Time += dt
 }
 
-// rkStepPipelined advances one lsrk3 step with the dependency-driven
+// rkStepPipelined advances one step with the dependency-driven
 // execution model: each stage submits every block as one fused RHS+UP task
 // to the persistent pool. Interior blocks (StartDeps zero) start
 // immediately and overlap the halo exchange; each arriving link releases

@@ -11,7 +11,7 @@ import (
 
 // collectBlockData runs the config for the given number of steps and
 // returns every rank's raw float32 block state keyed by (rank, curve index).
-func collectBlockData(t *testing.T, cfg Config, steps int) map[[2]int][]float32 {
+func collectBlockData(t *testing.T, cfg Config, steps int, step func(*Rank)) map[[2]int][]float32 {
 	t.Helper()
 	n := cfg.RankDims[0] * cfg.RankDims[1] * cfg.RankDims[2]
 	world := mpi.NewWorld(n)
@@ -23,7 +23,7 @@ func collectBlockData(t *testing.T, cfg Config, steps int) map[[2]int][]float32 
 	world.Run(func(comm *mpi.Comm) {
 		r := NewRank(comm, cfg)
 		for s := 0; s < steps; s++ {
-			r.Advance()
+			step(r)
 		}
 		blocks := make([][]float32, len(r.G.Blocks))
 		for i, b := range r.G.Blocks {
@@ -82,8 +82,8 @@ func TestMultiRankDeterminism(t *testing.T) {
 			cfg := determinismConfig()
 			cfg.Pipeline = pipeline
 			const steps = 5
-			a := collectBlockData(t, cfg, steps)
-			b := collectBlockData(t, cfg, steps)
+			a := collectBlockData(t, cfg, steps, advance)
+			b := collectBlockData(t, cfg, steps, advance)
 			compareBlockData(t, a, b, "runs are not bitwise deterministic")
 		})
 	}

@@ -11,22 +11,20 @@ import (
 
 // TestPipelineMatchesStagedBitwise: the dependency-driven fused RHS+UP
 // pipeline must produce bitwise identical state to the bulk-synchronous
-// staged path on a multi-rank grid, for both kernel variants.
+// staged path on a multi-rank grid, on the scalar engine production runs
+// use and on the QPX-model Vec4 engine.
 func TestPipelineMatchesStagedBitwise(t *testing.T) {
-	for _, vector := range []bool{false, true} {
-		name := "Scalar"
-		if vector {
-			name = "Vector"
-		}
-		t.Run(name, func(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		step func(*Rank)
+	}{{"Scalar", advance}, {"Vector", vectorAdvance}} {
+		t.Run(tc.name, func(t *testing.T) {
 			const steps = 5
 			staged := determinismConfig()
-			staged.Vector = vector
-			a := collectBlockData(t, staged, steps)
+			a := collectBlockData(t, staged, steps, tc.step)
 			piped := determinismConfig()
-			piped.Vector = vector
 			piped.Pipeline = true
-			b := collectBlockData(t, piped, steps)
+			b := collectBlockData(t, piped, steps, tc.step)
 			compareBlockData(t, a, b, "pipeline diverges from staged baseline")
 		})
 	}

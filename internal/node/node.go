@@ -24,10 +24,10 @@ import (
 type Engine struct {
 	G  *grid.Grid
 	BC grid.BC
-	// Vector selects the QPX (4-lane vector) kernel variants.
+	// Vector selects the QPX (4-lane vector) kernel variants, the
+	// instruction-accounting experiment of Tables 7–9; production ranks
+	// build scalar engines.
 	Vector bool
-	// Staged selects the non-fused WENO→HLLE baseline (Table 9).
-	Staged bool
 
 	workers int
 	scratch []*workspace
@@ -132,10 +132,8 @@ func (e *Engine) ComputeRHS(blocks []*grid.Block, out [][]float32) {
 		ws := e.scratch[w]
 		ws.lab.Load(e.G, e.BC, blocks[i])
 		if e.Vector {
-			ws.vec.Staged = e.Staged
 			ws.vec.Compute(ws.lab, e.G.H, out[i])
 		} else {
-			ws.rhs.Staged = e.Staged
 			ws.rhs.Compute(ws.lab, e.G.H, out[i])
 		}
 	})

@@ -255,10 +255,8 @@ func (run *StageRun) execFused(w, i int) int32 {
 		// round-tripping through memory, and the block data is updated
 		// while still cache-resident.
 		if e.Vector {
-			ws.vec.Staged = e.Staged
 			ws.vec.ComputeFused(ws.lab, e.G.H, b.Data, f.Reg[i], f.A, f.B, f.Dt)
 		} else {
-			ws.rhs.Staged = e.Staged
 			ws.rhs.ComputeFused(ws.lab, e.G.H, b.Data, f.Reg[i], f.A, f.B, f.Dt)
 		}
 		run.upPending[i].Store(0)
@@ -267,10 +265,8 @@ func (run *StageRun) execFused(w, i int) int32 {
 	// A neighbor still reads this block's pre-update data: materialize the
 	// rhs and defer the update to whoever drops the count to zero.
 	if e.Vector {
-		ws.vec.Staged = e.Staged
 		ws.vec.Compute(ws.lab, e.G.H, f.RHS[i])
 	} else {
-		ws.rhs.Staged = e.Staged
 		ws.rhs.Compute(ws.lab, e.G.H, f.RHS[i])
 	}
 	if run.upPending[i].Add(-1) == 0 {

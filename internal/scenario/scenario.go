@@ -153,8 +153,9 @@ func pick64(v, def int64) int64 {
 	return def
 }
 
-// baseConfig assembles the decomposition shared by every scenario and
-// returns the global cell spacing h the interface smoothing scales with.
+// baseConfig assembles the decomposition shared by every scenario, on the
+// production (pipelined) step, and returns the global cell spacing h the
+// interface smoothing scales with.
 func baseConfig(p Params, defBlocks [3]int, defN, defSteps, defDiag int) (sim.Config, float64) {
 	ranks := pick3(p.Ranks, [3]int{1, 1, 1})
 	blocks := pick3(p.Blocks, defBlocks)
@@ -169,6 +170,7 @@ func baseConfig(p Params, defBlocks [3]int, defN, defSteps, defDiag int) (sim.Co
 			BC:        grid.DefaultBC(),
 			CFL:       0.3,
 			Workers:   p.Workers,
+			Pipeline:  true,
 		},
 		Steps:      pick(p.Steps, defSteps),
 		DiagEvery:  pick(p.DiagEvery, defDiag),

@@ -33,6 +33,20 @@ func TestBuildUnknown(t *testing.T) {
 	}
 }
 
+// TestBuildPipelines: every registered scenario builds onto the production
+// pipelined step — the configs service jobs and the benchmark's cases run.
+func TestBuildPipelines(t *testing.T) {
+	for _, name := range Names() {
+		c, err := Build(name, Params{})
+		if err != nil {
+			t.Fatalf("Build(%s): %v", name, err)
+		}
+		if !c.Config.Cluster.Pipeline {
+			t.Errorf("Build(%s) steps staged, want the pipelined model", name)
+		}
+	}
+}
+
 // TestCloudGolden pins the default cloud case: the seed-42 geometry must
 // never drift silently, because the verify tolerance bands and the
 // benchmark's cloud references are measured against it.

@@ -196,6 +196,10 @@ func Run(cfg Config, onStep func(StepInfo)) (Summary, error) {
 	if nRanks <= 0 {
 		return Summary{}, fmt.Errorf("sim: invalid rank dims %v", cfg.Cluster.RankDims)
 	}
+	if n := cfg.Cluster.BlockSize; n < 2*grid.StencilWidth {
+		return Summary{}, fmt.Errorf("sim: block size %d smaller than twice the stencil width %d",
+			n, grid.StencilWidth)
+	}
 	world := cfg.World
 	if world == nil {
 		world = mpi.NewWorld(nRanks)

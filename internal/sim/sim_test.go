@@ -4,6 +4,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"cubism/internal/cluster"
@@ -144,6 +145,18 @@ func TestRunInvalidRanks(t *testing.T) {
 	cfg.Cluster.RankDims = [3]int{0, 1, 1}
 	if _, err := Run(cfg, nil); err == nil {
 		t.Error("expected error for invalid rank dims")
+	}
+}
+
+// TestRunBlockSizeTooSmall: a block edge below twice the stencil width is
+// a configuration error returned before any rank starts, not a panic
+// inside a rank goroutine.
+func TestRunBlockSizeTooSmall(t *testing.T) {
+	cfg := smallConfig()
+	cfg.Cluster.BlockSize = 5
+	_, err := Run(cfg, nil)
+	if err == nil || !strings.Contains(err.Error(), "block size 5") {
+		t.Errorf("Run with block size 5: err = %v, want a block size error", err)
 	}
 }
 

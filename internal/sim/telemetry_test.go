@@ -16,9 +16,38 @@ import (
 // TestRunWithTelemetry drives a small multi-rank campaign with every sink
 // attached and checks the full contract: solver-phase spans on every rank's
 // trace track, one JSONL record per step, and the Prometheus exposition
-// carrying the step-latency histogram and per-kernel gauges.
+// carrying the step-latency histogram and per-kernel gauges. It runs both
+// execution models: the staged step records separate RHS and UP phases and
+// one halo_wait per stage, the pipelined production step one fused RHSUP
+// phase per stage fed by per-link halo_install spans.
 func TestRunWithTelemetry(t *testing.T) {
-	const steps, nRanks = 4, 2
+	const steps = 4
+	for _, leg := range []struct {
+		name     string
+		pipeline bool
+		kernels  []string       // step kernels; the first carries the RHS
+		spans    map[string]int // model-specific spans and their minimum count
+	}{
+		{"Staged", false, []string{"RHS", "UP"}, map[string]int{
+			"RHS":        3 * steps, // three RK stages
+			"UP":         3 * steps,
+			"halo_wait":  3 * steps,
+			"RHS.worker": 1,
+		}},
+		{"Pipelined", true, []string{"RHSUP"}, map[string]int{
+			"RHSUP":        3 * steps,
+			"halo_install": 3 * steps, // two links per rank per stage
+			"RHSUP.worker": 1,
+		}},
+	} {
+		t.Run(leg.name, func(t *testing.T) {
+			testRunWithTelemetry(t, steps, leg.pipeline, leg.kernels, leg.spans)
+		})
+	}
+}
+
+func testRunWithTelemetry(t *testing.T, steps int, pipeline bool, kernels []string, spans map[string]int) {
+	const nRanks = 2
 	tel := &telemetry.Set{
 		Tracer:  telemetry.NewTracer(),
 		Metrics: telemetry.NewRegistry(),
@@ -35,6 +64,7 @@ func TestRunWithTelemetry(t *testing.T) {
 			BC:        grid.PeriodicBC(),
 			Workers:   2,
 			CFL:       0.3,
+			Pipeline:  pipeline,
 			Init:      SodInit,
 		},
 		Steps:     steps,
@@ -51,7 +81,8 @@ func TestRunWithTelemetry(t *testing.T) {
 		t.Fatalf("ran %d steps, want %d", summary.Steps, steps)
 	}
 
-	// Trace: RHS, DT, UP, ghost-exchange and step spans on every rank.
+	// Trace: the model's phase spans plus DT, ghost-exchange, step, dump
+	// and fold spans on every rank.
 	trace := tel.Tracer.Export()
 	type key struct {
 		pid  int
@@ -63,19 +94,19 @@ func TestRunWithTelemetry(t *testing.T) {
 			have[key{ev.PID, ev.Name}]++
 		}
 	}
+	want := map[string]int{
+		"step":           steps,
+		"DT":             steps,
+		"ghost_exchange": 3 * steps,
+		"dump":           2 * 2, // two quantities, every other step
+		"fold":           steps, // one end-of-step fold per step
+		"fwt_decimate":   1,
+	}
+	for name, min := range spans {
+		want[name] = min
+	}
 	for rank := 0; rank < nRanks; rank++ {
-		for name, min := range map[string]int{
-			"step":           steps,
-			"DT":             steps,
-			"RHS":            3 * steps, // three RK stages
-			"UP":             3 * steps,
-			"ghost_exchange": 3 * steps,
-			"halo_wait":      3 * steps,
-			"dump":           2 * 2, // two quantities, every other step
-			"fold":           steps, // one end-of-step fold per step
-			"RHS.worker":     1,
-			"fwt_decimate":   1,
-		} {
+		for name, min := range want {
 			if have[key{rank, name}] < min {
 				t.Errorf("rank %d: %d %q spans, want >= %d", rank, have[key{rank, name}], name, min)
 			}
@@ -83,6 +114,7 @@ func TestRunWithTelemetry(t *testing.T) {
 	}
 
 	// Step log: one valid record per step with kernel timings.
+	rhs := kernels[0]
 	sc := bufio.NewScanner(&logBuf)
 	var recs []telemetry.StepRecord
 	for sc.Scan() {
@@ -99,8 +131,8 @@ func TestRunWithTelemetry(t *testing.T) {
 		if r.Step != i+1 || r.DT <= 0 || r.WallMS <= 0 {
 			t.Errorf("record %d malformed: %+v", i, r)
 		}
-		if r.KernelMS["RHS"] <= 0 {
-			t.Errorf("record %d missing RHS kernel time: %v", i, r.KernelMS)
+		if r.KernelMS[rhs] <= 0 {
+			t.Errorf("record %d missing %s kernel time: %v", i, rhs, r.KernelMS)
 		}
 	}
 	if recs[1].DumpRates["p"] <= 0 || recs[1].DumpMBps <= 0 {
@@ -111,26 +143,28 @@ func TestRunWithTelemetry(t *testing.T) {
 	var expo bytes.Buffer
 	tel.Metrics.WritePrometheus(&expo)
 	out := expo.String()
-	for _, want := range []string{
+	wantMetrics := []string{
 		"# TYPE mpcf_step_latency_seconds histogram",
 		`mpcf_step_latency_seconds_bucket{le="+Inf"} 4`,
 		"mpcf_step_latency_seconds_count 4",
 		"mpcf_steps_total 4",
-		`mpcf_kernel_gflops{kernel="RHS"}`,
-		`mpcf_kernel_gflops{kernel="UP"}`,
 		`mpcf_kernel_gflops{kernel="DT"}`,
-		`mpcf_kernel_flop_per_byte{kernel="RHS"}`,
+		`mpcf_kernel_flop_per_byte{kernel="` + rhs + `"}`,
 		"mpcf_step_imbalance",
 		"mpcf_dump_mbps",
-	} {
+	}
+	for _, k := range kernels {
+		wantMetrics = append(wantMetrics, `mpcf_kernel_gflops{kernel="`+k+`"}`)
+	}
+	for _, want := range wantMetrics {
 		if !strings.Contains(out, want) {
 			t.Errorf("/metrics exposition missing %q", want)
 		}
 	}
 
 	// Summary carries machine-readable per-kernel stats.
-	if summary.Kernels["RHS"].N != 3*steps {
-		t.Errorf("summary RHS calls = %d, want %d", summary.Kernels["RHS"].N, 3*steps)
+	if summary.Kernels[rhs].N != 3*steps {
+		t.Errorf("summary %s calls = %d, want %d", rhs, summary.Kernels[rhs].N, 3*steps)
 	}
 }
 

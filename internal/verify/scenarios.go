@@ -13,8 +13,10 @@ import (
 )
 
 // runCase executes one scenario configuration through the real sim/cluster
-// stack, wiring the shared step logger when the caller attached one.
+// stack on the production (pipelined) step, wiring the shared step logger
+// when the caller attached one.
 func runCase(cfg sim.Config, opt Options, onStep func(sim.StepInfo)) (sim.Summary, error) {
+	cfg.Cluster.Pipeline = true
 	if cfg.Cluster.Workers == 0 {
 		cfg.Cluster.Workers = opt.Workers
 	}

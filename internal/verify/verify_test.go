@@ -7,6 +7,11 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+
+	"cubism/internal/cluster"
+	"cubism/internal/grid"
+	"cubism/internal/sim"
+	"cubism/internal/telemetry"
 )
 
 // shortReport runs the short-mode suite once and shares the report across
@@ -111,6 +116,30 @@ func TestShortBandsPass(t *testing.T) {
 	}
 	if !rep.Pass {
 		t.Error("report Pass = false")
+	}
+}
+
+// TestRunCasePipelines: the ladder's runs step on the production pipelined
+// model even when a scenario's config leaves Pipeline unset.
+func TestRunCasePipelines(t *testing.T) {
+	tel := &telemetry.Set{Tracer: telemetry.NewTracer()}
+	cfg := sim.Config{
+		Cluster: cluster.Config{
+			RankDims: [3]int{1, 1, 1}, BlockDims: [3]int{1, 1, 1}, BlockSize: 8,
+			Extent: 1, BC: grid.PeriodicBC(), CFL: 0.3, Init: sim.SodInit,
+		},
+		Steps:     1,
+		Telemetry: tel,
+	}
+	if _, err := runCase(cfg, Options{Workers: 1}, nil); err != nil {
+		t.Fatal(err)
+	}
+	spans := map[string]int{}
+	for _, ev := range tel.Tracer.Export().TraceEvents {
+		spans[ev.Name]++
+	}
+	if spans["RHSUP"] != 3 || spans["UP"] != 0 {
+		t.Errorf("%d RHSUP and %d UP spans for one step, want 3 and 0", spans["RHSUP"], spans["UP"])
 	}
 }
 
