@@ -102,10 +102,12 @@ smoke-net: bin
 
 # The chaos suite under the race detector: fault-injected transport
 # conformance, reconnect/replay/escalation paths, frame fuzz seeds, and the
-# sim-level bitwise-under-chaos and checkpoint-restart proofs.
+# sim-level proofs over the wire — every tcp and faults row of the bitwise
+# matrix (migrations and checkpoint restarts among them) and the streamed
+# dump frames under faults.
 chaos:
 	$(GO) test -race -count=1 ./internal/transport ./internal/transport/faulty ./internal/mpi
-	$(GO) test -race -count=1 -run 'TestSimBitwiseUnderChaos|TestRestoreResumesBitwise|TestSimMigrationBitwiseOverTCPChaos|TestFrameStreamBitwiseUnderChaos' ./internal/sim
+	$(GO) test -race -count=1 -run '^(TestBitwiseMatrix|TestFrameStreamBitwiseUnderChaos)$$/(tcp|faults)' ./internal/sim
 	$(GO) test -race -count=1 ./cmd/mpcf-launch
 
 # Full-ladder verification: convergence orders, conservation audit and the
@@ -120,4 +122,4 @@ verify-short:
 
 # Replay the checked-in fuzz seed corpora without fuzzing new inputs.
 fuzz-seed:
-	$(GO) test -run 'Fuzz' ./internal/compress ./internal/dump ./internal/transport ./internal/service
+	$(GO) test -run 'Fuzz' ./internal/compress ./internal/dump ./internal/transport ./internal/service ./internal/telemetry

@@ -11,23 +11,18 @@ import (
 
 // TestPipelineMatchesStagedBitwise: the dependency-driven fused RHS+UP
 // pipeline must produce bitwise identical state to the bulk-synchronous
-// staged path on a multi-rank grid, on the scalar engine production runs
-// use and on the QPX-model Vec4 engine.
+// staged path on a multi-rank grid, here on the QPX-model Vec4 engine.
+// The scalar engine production runs use is held to the same by every row
+// of internal/sim's TestBitwiseMatrix.
 func TestPipelineMatchesStagedBitwise(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		step func(*Rank)
-	}{{"Scalar", advance}, {"Vector", vectorAdvance}} {
-		t.Run(tc.name, func(t *testing.T) {
-			const steps = 5
-			staged := determinismConfig()
-			a := collectBlockData(t, staged, steps, tc.step)
-			piped := determinismConfig()
-			piped.Pipeline = true
-			b := collectBlockData(t, piped, steps, tc.step)
-			compareBlockData(t, a, b, "pipeline diverges from staged baseline")
-		})
-	}
+	t.Run("Vector", func(t *testing.T) {
+		const steps = 5
+		a := collectBlockData(t, determinismConfig(), steps, vectorAdvance)
+		piped := determinismConfig()
+		piped.Pipeline = true
+		b := collectBlockData(t, piped, steps, vectorAdvance)
+		compareBlockData(t, a, b, "pipeline diverges from staged baseline")
+	})
 }
 
 // TestLinksMatchLayout: the neighbor/tag table precomputed at rank

@@ -22,20 +22,32 @@ type Sample struct {
 	Bytes    int64 // compulsory off-chip byte traffic
 }
 
-// Kernel accumulates samples for one named compute kernel (RHS, DT, UP, ...).
+// Kernel keeps the running totals of one named compute kernel (RHS, DT,
+// UP, ...): a Record costs constant time and no memory however long the
+// run, so a monitor read every step stays cheap.
 type Kernel struct {
-	mu      sync.Mutex
-	name    string
-	samples []Sample
+	mu   sync.Mutex
+	name string
+	st   Stats // totals so far; Stats fills in the name
 }
 
 // Name returns the kernel's name.
 func (k *Kernel) Name() string { return k.name }
 
-// Record adds one sample.
+// Record adds one sample to the totals.
 func (k *Kernel) Record(s Sample) {
 	k.mu.Lock()
-	k.samples = append(k.samples, s)
+	st := &k.st
+	if st.N == 0 || s.Duration < st.Min {
+		st.Min = s.Duration
+	}
+	if s.Duration > st.Max {
+		st.Max = s.Duration
+	}
+	st.N++
+	st.Total += s.Duration
+	st.TotalFLOP += s.FLOPs
+	st.TotalByte += s.Bytes
 	k.mu.Unlock()
 }
 
@@ -81,33 +93,21 @@ func (s Stats) Imbalance() float64 {
 	return (s.Max.Seconds() - s.Min.Seconds()) / avg
 }
 
-// Stats computes the summary of all recorded samples. With zero samples
-// every field is zero — Min and Max in particular never carry garbage.
+// Stats returns the summary of all recorded samples. With zero samples
+// every field but the name is zero — Min and Max in particular never carry
+// garbage.
 func (k *Kernel) Stats() Stats {
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	st := Stats{Name: k.name, N: len(k.samples)}
-	if len(k.samples) == 0 {
-		return st
-	}
-	for i, s := range k.samples {
-		st.Total += s.Duration
-		st.TotalFLOP += s.FLOPs
-		st.TotalByte += s.Bytes
-		if i == 0 || s.Duration < st.Min {
-			st.Min = s.Duration
-		}
-		if s.Duration > st.Max {
-			st.Max = s.Duration
-		}
-	}
+	st := k.st
+	st.Name = k.name
 	return st
 }
 
 // Reset discards all samples.
 func (k *Kernel) Reset() {
 	k.mu.Lock()
-	k.samples = k.samples[:0]
+	k.st = Stats{}
 	k.mu.Unlock()
 }
 

@@ -2,6 +2,7 @@ package perf
 
 import (
 	"math"
+	"math/rand"
 	"strings"
 	"sync"
 	"testing"
@@ -103,5 +104,40 @@ func TestRecordSince(t *testing.T) {
 	}
 	if st.TotalFLOP != 100 || st.TotalByte != 10 {
 		t.Errorf("counts: %+v", st)
+	}
+}
+
+// TestRunningStatsMatchSamples: 10⁵ records folded into running totals give
+// exactly the Stats of the per-sample formula over the retained samples,
+// and a record allocates nothing.
+func TestRunningStatsMatchSamples(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	k := &Kernel{name: "RHS"}
+	samples := make([]Sample, 100_000)
+	for i := range samples {
+		samples[i] = Sample{
+			Duration: time.Duration(rng.Int63n(int64(time.Millisecond))),
+			FLOPs:    rng.Int63n(1 << 30),
+			Bytes:    rng.Int63n(1 << 28),
+		}
+		k.Record(samples[i])
+	}
+	want := Stats{Name: "RHS", N: len(samples)}
+	for i, s := range samples {
+		want.Total += s.Duration
+		want.TotalFLOP += s.FLOPs
+		want.TotalByte += s.Bytes
+		if i == 0 || s.Duration < want.Min {
+			want.Min = s.Duration
+		}
+		if s.Duration > want.Max {
+			want.Max = s.Duration
+		}
+	}
+	if got := k.Stats(); got != want {
+		t.Errorf("running stats %+v, per-sample formula %+v", got, want)
+	}
+	if allocs := testing.AllocsPerRun(1000, func() { k.Record(samples[0]) }); allocs != 0 {
+		t.Errorf("Record allocates %v times per call, want 0", allocs)
 	}
 }

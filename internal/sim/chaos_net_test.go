@@ -3,317 +3,81 @@ package sim
 import (
 	"bytes"
 	"math"
-	"net"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"cubism/internal/cluster"
 	"cubism/internal/dump"
-	"cubism/internal/mpi"
-	"cubism/internal/transport"
 	"cubism/internal/transport/faulty"
 )
 
-// countingInjector wraps a fault injector to prove faults actually fired.
-type countingInjector struct {
-	inner transport.FaultInjector
-	n     atomic.Int64
-}
-
-func (c *countingInjector) Outgoing(dst, tag, size int) transport.FaultDecision {
-	d := c.inner.Outgoing(dst, tag, size)
-	if d.Action != transport.FaultPass {
-		c.n.Add(1)
-	}
-	return d
-}
-
-// countingShared gives each rank its own deterministic injector while
-// funneling all ranks' hits into one shared counter.
-type countingShared struct {
-	c     *countingInjector
-	inner transport.FaultInjector
-}
-
-func (cs *countingShared) Outgoing(dst, tag, size int) transport.FaultDecision {
-	d := cs.inner.Outgoing(dst, tag, size)
-	if d.Action != transport.FaultPass {
-		cs.c.n.Add(1)
-	}
-	return d
-}
-
-// totalsFields flattens the conserved totals for bitwise comparison.
-func totalsFields(tot cluster.Totals) []struct {
-	name string
-	v    float64
-} {
-	return []struct {
-		name string
-		v    float64
-	}{
-		{"mass", tot.Mass},
-		{"mom_x", tot.MomX},
-		{"mom_y", tot.MomY},
-		{"mom_z", tot.MomZ},
-		{"energy", tot.Energy},
-		{"gamma_min", tot.GammaMin},
-		{"gamma_max", tot.GammaMax},
-		{"pi_min", tot.PiMin},
-		{"pi_max", tot.PiMax},
-		{"time", tot.Time},
-	}
-}
-
-func assertTotalsBitwise(t *testing.T, label string, ref, got cluster.Totals) {
+// AssertTotalsBitwise fails t unless every field of got carries the bits
+// of ref: the integrals, the material bounds, the simulated time and the
+// step count. It is exported for the bitwise matrix in package sim_test.
+func AssertTotalsBitwise(t testing.TB, label string, ref, got cluster.Totals) {
 	t.Helper()
-	rf, gf := totalsFields(ref), totalsFields(got)
-	for i := range rf {
-		if math.Float64bits(rf[i].v) != math.Float64bits(gf[i].v) {
-			t.Errorf("%s: %s diverged: %016x (%v) vs %016x (%v)", label, rf[i].name,
-				math.Float64bits(rf[i].v), rf[i].v, math.Float64bits(gf[i].v), gf[i].v)
+	rv, gv := reflect.ValueOf(ref), reflect.ValueOf(got)
+	for i := range rv.NumField() {
+		a, b := rv.Field(i), gv.Field(i)
+		same := a.Equal(b)
+		if a.Kind() == reflect.Float64 {
+			same = math.Float64bits(a.Float()) == math.Float64bits(b.Float())
+		}
+		if !same {
+			t.Errorf("%s: %s diverged: %v vs %v", label, rv.Type().Field(i).Name, a, b)
 		}
 	}
-	if ref.Step != got.Step {
-		t.Errorf("%s: step count diverged: %d vs %d", label, ref.Step, got.Step)
-	}
-}
-
-// TestSimBitwiseUnderChaos is the sim-level chaos keystone: a 2-rank Sod
-// problem advanced over a tcp wire that drops, duplicates and resets frames
-// (seeded, so the run reproduces) must produce conserved totals bitwise
-// identical to the clean in-process run. The reliability layer — CRC,
-// sequence-numbered replay, reconnect — has to mask every injected fault;
-// any leak shows up as a flipped float64 bit here.
-func TestSimBitwiseUnderChaos(t *testing.T) {
-	const steps = 3
-	baseCfg := func() Config {
-		return Config{
-			Cluster: cluster.Config{
-				RankDims:  [3]int{2, 1, 1},
-				BlockDims: [3]int{2, 1, 1},
-				BlockSize: 8,
-				Extent:    1,
-				Workers:   2,
-				CFL:       0.3,
-				Init:      SodInit,
-			},
-			Steps:     steps,
-			DiagEvery: 1 << 30,
-		}
-	}
-	totalsOn := func(cfg Config, sink *cluster.Totals) Config {
-		cfg.OnFinish = func(r *cluster.Rank) {
-			tot := r.ConservedTotals()
-			if r.Comm.Rank() == 0 {
-				*sink = tot
-			}
-		}
-		return cfg
-	}
-
-	var ref cluster.Totals
-	if _, err := Run(totalsOn(baseCfg(), &ref), nil); err != nil {
-		t.Fatalf("inproc run: %v", err)
-	}
-
-	plan := faulty.Plan{Seed: 2013, Drop: 0.06, Dup: 0.06, Reset: 0.01}
-	faults := &countingInjector{}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	coord := ln.Addr().String()
-	worlds := make([]*mpi.World, 2)
-	connErrs := make([]error, 2)
-	var wg sync.WaitGroup
-	for r := 0; r < 2; r++ {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			cfg := mpi.TCPConfig{
-				Rank: rank, Size: 2, Coord: coord,
-				HeartbeatInterval: 50 * time.Millisecond,
-				RetransmitTimeout: 150 * time.Millisecond,
-				PeerTimeout:       20 * time.Second,
-				Fault:             &countingShared{faults, faulty.New(plan)},
-				OnError:           func(err error) { t.Errorf("rank %d wire: %v", rank, err) },
-			}
-			if rank == 0 {
-				cfg.CoordListener = ln
-			}
-			worlds[rank], connErrs[rank] = mpi.ConnectTCP(cfg)
-		}(r)
-	}
-	wg.Wait()
-	for r, err := range connErrs {
-		if err != nil {
-			t.Fatalf("rank %d connect: %v", r, err)
-		}
-	}
-
-	var got cluster.Totals
-	runErrs := make([]error, 2)
-	for r := 0; r < 2; r++ {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			cfg := totalsOn(baseCfg(), &got)
-			cfg.World = worlds[rank]
-			_, runErrs[rank] = Run(cfg, nil)
-		}(r)
-	}
-	wg.Wait()
-	for r, err := range runErrs {
-		if err != nil {
-			t.Fatalf("rank %d run: %v", r, err)
-		}
-	}
-	assertTotalsBitwise(t, "chaos tcp vs inproc", ref, got)
-	if faults.n.Load() == 0 {
-		t.Fatalf("plan %q injected no faults; the run proved nothing", plan.String())
-	}
-	t.Logf("faults injected: %d", faults.n.Load())
-}
-
-// TestRestoreResumesBitwise is the checkpoint-restart contract the failure
-// path leans on: interrupt a run at a checkpoint, restore into a fresh
-// world, and the final conserved totals must be bitwise identical to the
-// uninterrupted run — crash recovery costs no physics.
-func TestRestoreResumesBitwise(t *testing.T) {
-	ckpt := filepath.Join(t.TempDir(), "chaos.ckp")
-	baseCfg := func() Config {
-		return Config{
-			Cluster: cluster.Config{
-				RankDims:  [3]int{2, 1, 1},
-				BlockDims: [3]int{2, 1, 1},
-				BlockSize: 8,
-				Extent:    1,
-				Workers:   2,
-				CFL:       0.3,
-				Init:      SodInit,
-			},
-			Steps:     6,
-			DiagEvery: 1 << 30,
-		}
-	}
-	totalsOn := func(cfg Config, sink *cluster.Totals) Config {
-		cfg.OnFinish = func(r *cluster.Rank) {
-			tot := r.ConservedTotals()
-			if r.Comm.Rank() == 0 {
-				*sink = tot
-			}
-		}
-		return cfg
-	}
-
-	// The uninterrupted run; it leaves a step-4 checkpoint behind.
-	var ref cluster.Totals
-	full := totalsOn(baseCfg(), &ref)
-	full.CheckpointEvery = 4
-	full.CheckpointPath = ckpt
-	if _, err := Run(full, nil); err != nil {
-		t.Fatalf("full run: %v", err)
-	}
-
-	// The restored run must resume at step 5, execute exactly steps 5 and 6,
-	// and land on the same bits.
-	var got cluster.Totals
-	resumed := totalsOn(baseCfg(), &got)
-	resumed.RestorePath = ckpt
-	var stepsSeen []int
-	if _, err := Run(resumed, func(s StepInfo) { stepsSeen = append(stepsSeen, s.Step) }); err != nil {
-		t.Fatalf("restored run: %v", err)
-	}
-	if len(stepsSeen) != 2 || stepsSeen[0] != 5 || stepsSeen[1] != 6 {
-		t.Fatalf("restored run executed steps %v, want [5 6]", stepsSeen)
-	}
-	assertTotalsBitwise(t, "restored vs uninterrupted", ref, got)
 }
 
 // TestFrameStreamBitwiseUnderChaos extends the chaos keystone to the dump
-// path: a 2-rank run that compresses and streams every snapshot over the
-// same seeded faulty wire must deliver frames to the rank-0 sink that are
+// path: a 2-rank run that compresses and streams every snapshot over a
+// seeded faulty wire must deliver frames to the rank-0 sink that are
 // bitwise identical to the dump files the very same run wrote locally.
 // TagDump rides the reliability layer like any other traffic, so dropped,
 // duplicated or reset frame chunks must reassemble without a flipped bit.
 func TestFrameStreamBitwiseUnderChaos(t *testing.T) {
 	dumpDir := t.TempDir()
 	const steps = 2
-	baseCfg := func() Config {
-		return Config{
-			Cluster: cluster.Config{
-				RankDims:  [3]int{2, 1, 1},
-				BlockDims: [3]int{2, 1, 1},
-				BlockSize: 8,
-				Extent:    1,
-				Workers:   2,
-				CFL:       0.3,
-				Init:      SodInit,
-			},
-			Steps:        steps,
-			DiagEvery:    1 << 30,
-			DumpEvery:    1,
-			DumpDir:      dumpDir,
-			Encoder:      "huff",
-			StreamFrames: true,
-		}
-	}
-
 	plan := faulty.Plan{Seed: 2013, Drop: 0.06, Dup: 0.06, Reset: 0.01}
-	faults := &countingInjector{}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	coord := ln.Addr().String()
-	worlds := make([]*mpi.World, 2)
-	connErrs := make([]error, 2)
-	var wg sync.WaitGroup
-	for r := 0; r < 2; r++ {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			cfg := mpi.TCPConfig{
-				Rank: rank, Size: 2, Coord: coord,
-				HeartbeatInterval: 50 * time.Millisecond,
-				RetransmitTimeout: 150 * time.Millisecond,
-				PeerTimeout:       20 * time.Second,
-				Fault:             &countingShared{faults, faulty.New(plan)},
-				OnError:           func(err error) { t.Errorf("rank %d wire: %v", rank, err) },
-			}
-			if rank == 0 {
-				cfg.CoordListener = ln
-			}
-			worlds[rank], connErrs[rank] = mpi.ConnectTCP(cfg)
-		}(r)
-	}
-	wg.Wait()
-	for r, err := range connErrs {
-		if err != nil {
-			t.Fatalf("rank %d connect: %v", r, err)
-		}
-	}
+	var faults atomic.Int64
+	worlds := ConnectLoopback(t, 2, &plan, &faults)
 
 	// Rank 0's sink runs serially inside its step loop: no lock needed.
 	var frames []dump.Frame
 	runErrs := make([]error, 2)
-	for r := 0; r < 2; r++ {
+	var wg sync.WaitGroup
+	for rank := range 2 {
 		wg.Add(1)
-		go func(rank int) {
+		go func() {
 			defer wg.Done()
-			cfg := baseCfg()
-			cfg.World = worlds[rank]
-			cfg.FrameSink = func(f dump.Frame) error {
-				frames = append(frames, f)
-				return nil
-			}
-			_, runErrs[rank] = Run(cfg, nil)
-		}(r)
+			_, runErrs[rank] = Run(Config{
+				Cluster: cluster.Config{
+					RankDims:  [3]int{2, 1, 1},
+					BlockDims: [3]int{2, 1, 1},
+					BlockSize: 8,
+					Extent:    1,
+					Workers:   2,
+					CFL:       0.3,
+					Init:      SodInit,
+					Pipeline:  true,
+				},
+				Steps:        steps,
+				DiagEvery:    1 << 30,
+				DumpEvery:    1,
+				DumpDir:      dumpDir,
+				Encoder:      "huff",
+				StreamFrames: true,
+				World:        worlds[rank],
+				FrameSink: func(f dump.Frame) error {
+					frames = append(frames, f)
+					return nil
+				},
+			}, nil)
+		}()
 	}
 	wg.Wait()
 	for r, err := range runErrs {
@@ -339,8 +103,8 @@ func TestFrameStreamBitwiseUnderChaos(t *testing.T) {
 			t.Errorf("frame %s does not decode: %v", f.Name, err)
 		}
 	}
-	if faults.n.Load() == 0 {
+	if faults.Load() == 0 {
 		t.Fatalf("plan %q injected no faults; the run proved nothing", plan.String())
 	}
-	t.Logf("faults injected: %d across %d frames", faults.n.Load(), len(frames))
+	t.Logf("faults injected: %d across %d frames", faults.Load(), len(frames))
 }

@@ -96,7 +96,7 @@ func TestControllerStopsAtBoundaryWithCheckpoint(t *testing.T) {
 	if len(stepsSeen) != 5 || stepsSeen[0] != 4 || stepsSeen[4] != 8 {
 		t.Fatalf("resumed run executed steps %v, want [4 5 6 7 8]", stepsSeen)
 	}
-	assertTotalsBitwise(t, "resumed-after-cancel vs uninterrupted", ref, got)
+	AssertTotalsBitwise(t, "resumed-after-cancel vs uninterrupted", ref, got)
 }
 
 // TestControllerStopBeforeFirstStep: a stop requested before the run
@@ -134,5 +134,5 @@ func TestControllerNoStopIsInert(t *testing.T) {
 	if sum.Stopped {
 		t.Fatal("idle controller reported Stopped")
 	}
-	assertTotalsBitwise(t, "idle controller vs plain", ref, got)
+	AssertTotalsBitwise(t, "idle controller vs plain", ref, got)
 }

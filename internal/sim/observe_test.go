@@ -2,14 +2,12 @@ package sim
 
 import (
 	"encoding/json"
-	"net"
 	"os"
 	"path/filepath"
 	"sync"
 	"testing"
 
 	"cubism/internal/cluster"
-	"cubism/internal/mpi"
 	"cubism/internal/telemetry"
 )
 
@@ -152,37 +150,11 @@ func TestObservatoryInproc(t *testing.T) {
 // snapshot.
 func TestObservatoryTCP(t *testing.T) {
 	dir := t.TempDir()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	coord := ln.Addr().String()
-	worlds := make([]*mpi.World, 2)
-	connErrs := make([]error, 2)
-	var wg sync.WaitGroup
-	for r := 0; r < 2; r++ {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			c := mpi.TCPConfig{
-				Rank: rank, Size: 2, Coord: coord,
-				OnError: func(err error) { t.Errorf("rank %d wire: %v", rank, err) },
-			}
-			if rank == 0 {
-				c.CoordListener = ln
-			}
-			worlds[rank], connErrs[rank] = mpi.ConnectTCP(c)
-		}(r)
-	}
-	wg.Wait()
-	for r, err := range connErrs {
-		if err != nil {
-			t.Fatalf("rank %d connect: %v", r, err)
-		}
-	}
+	worlds := ConnectLoopback(t, 2, nil, nil)
 
 	sums := make([]Summary, 2)
 	runErrs := make([]error, 2)
+	var wg sync.WaitGroup
 	for r := 0; r < 2; r++ {
 		wg.Add(1)
 		go func(rank int) {

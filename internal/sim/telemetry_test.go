@@ -268,6 +268,6 @@ func TestCollectiveScheduleIgnoresObservers(t *testing.T) {
 					c.name, rank, n, steps)
 			}
 		}
-		assertTotalsBitwise(t, c.name, ref.tot, got.tot)
+		AssertTotalsBitwise(t, c.name, ref.tot, got.tot)
 	}
 }

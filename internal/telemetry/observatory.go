@@ -155,19 +155,23 @@ func (a *Aggregator) addSampleLocked(rank int, s PhaseSample) {
 
 // AddBatch ingests one remote rank's flush: phase samples verbatim, spans
 // re-based from the peer's tracer clock onto rank 0's (StartNS - offset),
-// counters replacing the previous snapshot.
+// counters replacing the previous snapshot. Samples and counters of a rank
+// outside the world are dropped.
 func (a *Aggregator) AddBatch(b RankBatch) {
 	if a == nil {
 		return
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	for _, s := range b.Steps {
-		a.addSampleLocked(b.Rank, s)
+	inWorld := b.Rank >= 0 && b.Rank < a.ranks
+	if inWorld {
+		for _, s := range b.Steps {
+			a.addSampleLocked(b.Rank, s)
+		}
 	}
 	if len(b.Spans) > 0 {
 		var off int64
-		if b.Rank >= 0 && b.Rank < a.ranks {
+		if inWorld {
 			off = a.offsets[b.Rank]
 		}
 		for _, rec := range b.Spans {
@@ -179,7 +183,7 @@ func (a *Aggregator) AddBatch(b RankBatch) {
 			a.spans = append(a.spans, rec)
 		}
 	}
-	if b.Counters != nil && b.Rank >= 0 && b.Rank < a.ranks {
+	if b.Counters != nil && inWorld {
 		a.counters[b.Rank] = b.Counters
 	}
 }
