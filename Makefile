@@ -34,7 +34,8 @@ race:
 # launch), the telemetry sinks and the service with its scenario builds:
 # shuffled repeats, a single-P leg and a race leg (CI runs it nightly).
 FLAKE_PKGS = ./internal/sim ./internal/cluster ./internal/mpi ./internal/service \
-	./internal/node ./internal/transport ./internal/launch ./internal/telemetry ./internal/scenario
+	./internal/node ./internal/transport ./internal/launch ./internal/telemetry ./internal/scenario \
+	. ./cmd/mpcf-sim
 flake:
 	$(GO) test -count=20 -shuffle=on $(FLAKE_PKGS)
 	GOMAXPROCS=1 $(GO) test -count=5 $(FLAKE_PKGS)
@@ -79,6 +80,9 @@ service-smoke: bin
 # real OS processes over tcp — clean wire AND a seeded faulty wire (drops,
 # duplications, resets masked by the reliability layer) — must produce
 # conserved-field checksums bitwise identical to the in-process transport.
+# A scenario leg runs the registry's cloud case both ways, long enough for
+# its audit cadence (every 20 steps) to fire: the checksums and the
+# observables (mass_drift among them) must match byte for byte.
 smoke-net: bin
 	@rm -rf smoke-net.tmp && mkdir smoke-net.tmp
 	./bin/mpcf-sim -case sod -ranks 2,1,1 -blocks 2,2,2 -n 8 -steps 5 \
@@ -97,7 +101,14 @@ smoke-net: bin
 		-net-chaos "drop=0.05,dup=0.05,reset=0.01,seed=11" \
 		-net-heartbeat 50ms -net-retransmit 150ms -net-peer-timeout 20s
 	cmp smoke-net.tmp/inproc.sums smoke-net.tmp/migrate.sums
-	@echo "smoke-net: checksums bitwise identical across transports (clean + chaos + hilbert migration)"
+	./bin/mpcf-sim -scenario cloud -ranks 2,1,1 -blocks 1,2,2 -n 8 -steps 21 -quiet \
+		-sums smoke-net.tmp/scn-inproc.sums -observables smoke-net.tmp/scn-inproc.json
+	./bin/mpcf-launch -n 2 -- -scenario cloud -ranks 2,1,1 -blocks 1,2,2 -n 8 -steps 21 -quiet \
+		-sums smoke-net.tmp/scn-tcp.sums -observables smoke-net.tmp/scn-tcp.json
+	cmp smoke-net.tmp/scn-inproc.sums smoke-net.tmp/scn-tcp.sums
+	cmp smoke-net.tmp/scn-inproc.json smoke-net.tmp/scn-tcp.json
+	grep -q mass_drift smoke-net.tmp/scn-tcp.json
+	@echo "smoke-net: checksums bitwise identical across transports (clean + chaos + hilbert migration + cloud scenario)"
 	@rm -rf smoke-net.tmp
 
 # The chaos suite under the race detector: fault-injected transport

@@ -17,9 +17,11 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -31,11 +33,31 @@ import (
 	"time"
 
 	"cubism"
+	"cubism/internal/cluster"
+	"cubism/internal/mpi"
+	"cubism/internal/transport/faulty"
 )
 
-func parseTriple(s string, def [3]int) [3]int {
+// cli is one parsed command line: the run description plus the process
+// settings that are not part of it — this process's output sinks and how it
+// joins a tcp fleet.
+type cli struct {
+	cfg    cubism.Config
+	scn    *cubism.ScenarioCase // set by -scenario
+	tcp    *mpi.TCPConfig       // set by -transport tcp; Size, sinks and OnError are filled at connect time
+	banner string               // startup note on the initial condition, printed unless -quiet
+
+	quiet                                 bool
+	stopGrace                             time.Duration
+	tracePath, telemetryAddr, stepLogPath string
+	observablesPath, obsReport            string
+
+	sumsErr error // written by the -sums hook on rank 0
+}
+
+func parseTriple(s string, def [3]int) ([3]int, error) {
 	if s == "" {
-		return def
+		return def, nil
 	}
 	parts := strings.Split(s, ",")
 	if len(parts) == 1 {
@@ -43,88 +65,300 @@ func parseTriple(s string, def [3]int) [3]int {
 		parts = []string{parts[0], parts[0], parts[0]}
 	}
 	if len(parts) != 3 {
-		log.Fatalf("expected one or three comma-separated values, got %q", s)
+		return def, fmt.Errorf("expected one or three comma-separated values, got %q", s)
 	}
 	var out [3]int
 	for i, p := range parts {
 		v, err := strconv.Atoi(strings.TrimSpace(p))
 		if err != nil {
-			log.Fatalf("bad value %q: %v", p, err)
+			return def, fmt.Errorf("bad value %q: %v", p, err)
 		}
 		out[i] = v
 	}
-	return out
+	return out, nil
+}
+
+// parse turns the command line into one run description. A -scenario run
+// starts from the registry case's own Config (built from the decomposition
+// and step flags) and a -case run from the production defaults — one rank,
+// CFL 0.3, the pipelined step; the output, layout and checkpoint flags
+// overlay both.
+func parse(args []string) (*cli, error) {
+	fs := flag.NewFlagSet("mpcf-sim", flag.ExitOnError)
+	caseName := fs.String("case", "cloud", "initial condition: cloud, sod, bubble")
+	scenarioName := fs.String("scenario", "", "named scenario from the registry (cloud, shockbubble, array); replaces -case and hand-rolled init")
+	beta := fs.Float64("beta", 0, "target cloud interaction parameter β for -scenario cloud (picks the bubble count; mutually exclusive with -bubbles)")
+	ranks := fs.String("ranks", "", "rank grid, e.g. 2,2,2 (default 1,1,1)")
+	blocks := fs.String("blocks", "", "blocks per rank, e.g. 4,4,4")
+	n := fs.Int("n", 16, "block edge in cells (paper production: 32)")
+	steps := fs.Int("steps", 100, "number of time steps")
+	workers := fs.Int("workers", 0, "workers per rank (0: NumCPU)")
+	layoutName := fs.String("layout", "", "block-to-rank layout: cartesian (default), hilbert, morton or rowmajor (see docs/sharding.md)")
+	rebalanceEvery := fs.Int("rebalance-every", 0, "measure load imbalance every so many steps and migrate blocks on SFC layouts when it exceeds the threshold (0: never)")
+	rebalanceThreshold := fs.Float64("rebalance-threshold", 0, "max/avg-1 imbalance that triggers a rebalance (0: 0.1)")
+	rebalanceForceStep := fs.Int("rebalance-force-step", 0, "force one rebalance at exactly this step regardless of imbalance (migration fault drill; 0: never)")
+	bubbles := fs.Int("bubbles", 12, "bubbles in the cloud case")
+	seed := fs.Int64("seed", 42, "cloud random seed")
+	wall := fs.Bool("wall", false, "reflecting wall at z=0 with wall-pressure diagnostics")
+	dumpEvery := fs.Int("dump-every", 0, "compressed dump cadence in steps (0: never)")
+	dumpDir := fs.String("dump-dir", ".", "dump output directory")
+	encoder := fs.String("encoder", "zlib", "dump encoder: zlib, rle, sig or huff")
+	frameDir := fs.String("frame-dir", "", "stream every dump as an assembled frame over the TagDump channel and write the raw frame bytes (bitwise identical to the dump file) into this directory on rank 0")
+	frameLog := fs.String("frame-log", "", "stream every dump as an assembled frame and append one JSONL record per frame (base64 payload) to this path on rank 0 — the file mpcf-serve tails into job \"frame\" events")
+	diagEvery := fs.Int("diag-every", 10, "diagnostics cadence in steps")
+	ckptEvery := fs.Int("checkpoint-every", 0, "write a lossless checkpoint every so many steps (0: never)")
+	ckptPath := fs.String("checkpoint", "checkpoint.ckp", "checkpoint file path")
+	restorePath := fs.String("restore", "", "resume from this checkpoint file (same decomposition; the recovery path after a rank failure)")
+	stopCkpt := fs.Bool("stop-checkpoint", false, "write a final checkpoint at the stop boundary when a signal ends the run early (implied by -checkpoint-every > 0)")
+	stopGrace := fs.Duration("stop-grace", 1500*time.Millisecond, "how long a signaled run may take to reach the next step boundary before the immediate flush-and-exit fallback fires")
+	observablesPath := fs.String("observables", "", "write the scenario collapse observables (flat JSON metric map) to this path on rank 0 after the run (requires -scenario)")
+	tracePath := fs.String("trace", "", "write a Chrome trace_event JSON timeline to this path (open in chrome://tracing or Perfetto)")
+	telemetryAddr := fs.String("telemetry-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address (e.g. :9090; :0 picks a port; empty: disabled)")
+	stepLogPath := fs.String("step-log", "", "write a JSONL structured step log to this path (- for stdout)")
+	quiet := fs.Bool("quiet", false, "suppress per-step human output (final summary still printed)")
+	transportName := fs.String("transport", "inproc", "rank transport: inproc (all ranks in this process) or tcp (this process is one rank)")
+	rank := fs.Int("rank", 0, "this process's rank (tcp transport)")
+	coord := fs.String("coord", "", "rendezvous coordinator host:port; rank 0 listens on it (tcp transport)")
+	listen := fs.String("listen", "", "data listener bind address (tcp transport; empty picks a free port)")
+	dialTimeout := fs.Duration("net-dial-timeout", 0, "rendezvous + mesh construction budget (0: 30s)")
+	readTimeout := fs.Duration("net-read-timeout", 0, "per-frame read deadline (0: none)")
+	writeTimeout := fs.Duration("net-write-timeout", 0, "per-frame write deadline (0: none)")
+	netHeartbeat := fs.Duration("net-heartbeat", 0, "idle-link heartbeat cadence (0: 2s; negative disables)")
+	netPeerTimeout := fs.Duration("net-peer-timeout", 0, "declare a silent peer failed after this long (0: 30s)")
+	netRetransmit := fs.Duration("net-retransmit", 0, "force a reconnect when acks stall this long (0: 3s; negative disables)")
+	netMaxReconnect := fs.Int("net-max-reconnect", 0, "reconnect attempts per failure episode (0: 8; negative disables reconnect)")
+	netChaos := fs.String("net-chaos", "", "inject seeded wire faults, e.g. drop=0.01,reset=0.001,seed=7 (fault drill; physics must stay bitwise identical)")
+	sumsPath := fs.String("sums", "", "write final conserved-field checksums (hex float64 bits) to this file on rank 0")
+	obsTrace := fs.String("obs-trace", "", "write the cluster-wide merged clock-aligned Chrome trace to this path on rank 0 (enables the cross-rank observatory)")
+	obsReport := fs.String("obs-report", "", "write the Table-4-shaped cluster imbalance report (text) to this path on rank 0 (- for stderr)")
+	obsReportJSON := fs.String("obs-report-json", "", "write the cluster imbalance report (JSON) to this path on rank 0")
+	fs.Parse(args)
+
+	o := &cli{
+		quiet: *quiet, stopGrace: *stopGrace,
+		tracePath: *tracePath, telemetryAddr: *telemetryAddr, stepLogPath: *stepLogPath,
+		observablesPath: *observablesPath, obsReport: *obsReport,
+	}
+	rankDims, err := parseTriple(*ranks, [3]int{1, 1, 1})
+	if err != nil {
+		return nil, err
+	}
+	blockDims, err := parseTriple(*blocks, [3]int{4, 4, 4})
+	if err != nil {
+		return nil, err
+	}
+	if *scenarioName != "" {
+		// The registry case is the run description; the decomposition and
+		// step flags are its parameters.
+		p := cubism.ScenarioParams{Ranks: rankDims, Blocks: blockDims, BlockSize: *n,
+			Steps: *steps, Workers: *workers, Seed: *seed, DiagEvery: *diagEvery, Beta: *beta}
+		fs.Visit(func(f *flag.Flag) {
+			if f.Name == "bubbles" {
+				// Only forward an explicit count: the array scenario reads it
+				// as the lattice edge, and -beta computes the cloud count.
+				p.Bubbles = *bubbles
+			}
+		})
+		c, err := cubism.BuildScenario(*scenarioName, p)
+		if err != nil {
+			return nil, err
+		}
+		o.scn, o.cfg = c, c.Config
+		o.banner = fmt.Sprintf("scenario %s: %d bubbles", c.Name, len(c.Bubbles))
+		if c.Beta > 0 {
+			o.banner += fmt.Sprintf(", beta=%.3f, alpha0=%.4f", c.Beta, c.VoidFraction)
+		}
+		if c.RayleighTau > 0 {
+			o.banner += fmt.Sprintf(", rayleigh tau=%.3e", c.RayleighTau)
+		}
+	} else {
+		if *observablesPath != "" {
+			return nil, errors.New("-observables requires -scenario (the metric map is defined by the scenario's analytic references)")
+		}
+		var init func(x, y, z float64) cubism.State
+		switch *caseName {
+		case "sod":
+			init = cubism.SodInit
+		case "bubble":
+			init = cubism.CloudField([]cubism.Bubble{{X: 0.5, Y: 0.5, Z: 0.5, R: 0.15}}, 0.02)
+		case "cloud":
+			cloudBubbles, err := cubism.GenerateCloud(cubism.CloudSpec{
+				Center: [3]float64{0.5, 0.5, 0.55},
+				Radius: 0.3,
+				N:      *bubbles,
+				RMin:   0.04, RMax: 0.09,
+				Seed: *seed,
+			})
+			if err != nil {
+				return nil, err
+			}
+			o.banner = fmt.Sprintf("generated %d bubbles", len(cloudBubbles))
+			init = cubism.CloudField(cloudBubbles, 0.015)
+		default:
+			return nil, fmt.Errorf("unknown case %q", *caseName)
+		}
+		o.cfg = cubism.Config{
+			Cluster: cubism.ClusterConfig{
+				RankDims:  rankDims,
+				BlockDims: blockDims,
+				BlockSize: *n,
+				Extent:    1.0,
+				Workers:   *workers,
+				CFL:       0.3,
+				Pipeline:  true,
+				Init:      init,
+			},
+			Steps:     *steps,
+			DiagEvery: *diagEvery,
+		}
+	}
+
+	cfg := &o.cfg
+	cfg.Cluster.Layout = *layoutName
+	cfg.RebalanceEvery = *rebalanceEvery
+	cfg.RebalanceThreshold = *rebalanceThreshold
+	cfg.ForceRebalanceStep = *rebalanceForceStep
+	cfg.DumpEvery, cfg.DumpDir, cfg.Encoder = *dumpEvery, *dumpDir, *encoder
+	cfg.CheckpointEvery, cfg.CheckpointPath = *ckptEvery, *ckptPath
+	cfg.RestorePath, cfg.StopCheckpoint = *restorePath, *stopCkpt
+	if *wall {
+		cfg.Cluster.BC = cubism.WallBC(cubism.ZLo)
+		cfg.Wall = cubism.ZLo
+		cfg.HasWall = true
+	}
+	// Frame streaming: the flags are uniform across a fleet (the streaming
+	// is collective), while the sink only ever runs on rank 0.
+	if *frameDir != "" || *frameLog != "" {
+		cfg.StreamFrames = true
+		cfg.FrameSink = frameSink(*frameDir, *frameLog)
+	}
+	if *obsTrace != "" || *obsReport != "" || *obsReportJSON != "" {
+		cfg.Observe = &cubism.ObserveConfig{TracePath: *obsTrace, ReportJSONPath: *obsReportJSON}
+		if *obsReport != "-" { // "-" is rendered to stderr after the run instead
+			cfg.Observe.ReportPath = *obsReport
+		}
+	}
+	if *sumsPath != "" {
+		cfg.OnFinish = func(r *cluster.Rank) {
+			tot := r.ConservedTotals() // collective: every rank participates
+			if r.Comm.Rank() == 0 {
+				o.sumsErr = writeChecksums(*sumsPath, tot)
+			}
+		}
+	}
+	switch *transportName {
+	case "inproc", "":
+	case "tcp":
+		if *coord == "" {
+			return nil, errors.New("-transport tcp requires -coord host:port")
+		}
+		o.tcp = &mpi.TCPConfig{
+			Rank:              *rank,
+			Coord:             *coord,
+			Listen:            *listen,
+			DialTimeout:       *dialTimeout,
+			ReadTimeout:       *readTimeout,
+			WriteTimeout:      *writeTimeout,
+			HeartbeatInterval: *netHeartbeat,
+			PeerTimeout:       *netPeerTimeout,
+			RetransmitTimeout: *netRetransmit,
+			MaxReconnect:      *netMaxReconnect,
+		}
+		if *netChaos != "" {
+			plan, err := faulty.Parse(*netChaos)
+			if err != nil {
+				return nil, fmt.Errorf("chaos spec: %w", err)
+			}
+			o.tcp.Fault = faulty.New(plan)
+		}
+	default:
+		return nil, fmt.Errorf("unknown transport %q (want inproc or tcp)", *transportName)
+	}
+	return o, nil
+}
+
+// frameSink writes each streamed frame's raw bytes into dir and/or appends
+// its JSONL record to logPath (either may be empty).
+func frameSink(dir, logPath string) cubism.FrameSink {
+	var logFile *os.File
+	return func(f cubism.Frame) error {
+		if dir != "" {
+			if err := os.WriteFile(filepath.Join(dir, f.Name), f.Data, 0o644); err != nil {
+				return err
+			}
+		}
+		if logPath != "" {
+			if logFile == nil {
+				var err error
+				logFile, err = os.OpenFile(logPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+				if err != nil {
+					return err
+				}
+			}
+			rec, err := json.Marshal(cubism.FrameRecord{
+				Name: f.Name, Step: f.Step, Quantity: f.Quantity,
+				Time: f.Time, Bytes: len(f.Data), Data: f.Data,
+			})
+			if err != nil {
+				return err
+			}
+			if _, err := logFile.Write(append(rec, '\n')); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+}
+
+// writeChecksums renders the conserved totals as hex float64 bit patterns,
+// one quantity per line — a transport-independent fingerprint: a tcp
+// multi-process run and an in-process run of the same case must produce
+// byte-for-byte identical files (compare them with cmp).
+func writeChecksums(path string, t cluster.Totals) error {
+	var b strings.Builder
+	for _, e := range []struct {
+		name string
+		v    float64
+	}{
+		{"mass", t.Mass},
+		{"mom_x", t.MomX},
+		{"mom_y", t.MomY},
+		{"mom_z", t.MomZ},
+		{"energy", t.Energy},
+		{"abs_mom", t.AbsMomSum},
+		{"gamma_min", t.GammaMin},
+		{"gamma_max", t.GammaMax},
+		{"pi_min", t.PiMin},
+		{"pi_max", t.PiMax},
+	} {
+		fmt.Fprintf(&b, "%s %016x\n", e.name, math.Float64bits(e.v))
+	}
+	fmt.Fprintf(&b, "nonfinite %d\n", t.NonFinite)
+	return os.WriteFile(path, []byte(b.String()), 0o644)
 }
 
 func main() {
-	caseName := flag.String("case", "cloud", "initial condition: cloud, sod, bubble")
-	scenarioName := flag.String("scenario", "", "named scenario from the registry (cloud, shockbubble, array); replaces -case and hand-rolled init")
-	beta := flag.Float64("beta", 0, "target cloud interaction parameter β for -scenario cloud (picks the bubble count; mutually exclusive with -bubbles)")
-	ranks := flag.String("ranks", "", "rank grid, e.g. 2,2,2 (default 1,1,1)")
-	blocks := flag.String("blocks", "", "blocks per rank, e.g. 4,4,4")
-	n := flag.Int("n", 16, "block edge in cells (paper production: 32)")
-	steps := flag.Int("steps", 100, "number of time steps")
-	workers := flag.Int("workers", 0, "workers per rank (0: NumCPU)")
-	layoutName := flag.String("layout", "", "block-to-rank layout: cartesian (default), hilbert, morton or rowmajor (see docs/sharding.md)")
-	rebalanceEvery := flag.Int("rebalance-every", 0, "measure load imbalance every so many steps and migrate blocks on SFC layouts when it exceeds the threshold (0: never)")
-	rebalanceThreshold := flag.Float64("rebalance-threshold", 0, "max/avg-1 imbalance that triggers a rebalance (0: 0.1)")
-	rebalanceForceStep := flag.Int("rebalance-force-step", 0, "force one rebalance at exactly this step regardless of imbalance (migration fault drill; 0: never)")
-	bubbles := flag.Int("bubbles", 12, "bubbles in the cloud case")
-	seed := flag.Int64("seed", 42, "cloud random seed")
-	wall := flag.Bool("wall", false, "reflecting wall at z=0 with wall-pressure diagnostics")
-	dumpEvery := flag.Int("dump-every", 0, "compressed dump cadence in steps (0: never)")
-	dumpDir := flag.String("dump-dir", ".", "dump output directory")
-	encoder := flag.String("encoder", "zlib", "dump encoder: zlib, rle, sig or huff")
-	frameDir := flag.String("frame-dir", "", "stream every dump as an assembled frame over the TagDump channel and write the raw frame bytes (bitwise identical to the dump file) into this directory on rank 0")
-	frameLog := flag.String("frame-log", "", "stream every dump as an assembled frame and append one JSONL record per frame (base64 payload) to this path on rank 0 — the file mpcf-serve tails into job \"frame\" events")
-	diagEvery := flag.Int("diag-every", 10, "diagnostics cadence in steps")
-	ckptEvery := flag.Int("checkpoint-every", 0, "write a lossless checkpoint every so many steps (0: never)")
-	ckptPath := flag.String("checkpoint", "checkpoint.ckp", "checkpoint file path")
-	restorePath := flag.String("restore", "", "resume from this checkpoint file (same decomposition; the recovery path after a rank failure)")
-	stopCkpt := flag.Bool("stop-checkpoint", false, "write a final checkpoint at the stop boundary when a signal ends the run early (implied by -checkpoint-every > 0)")
-	stopGrace := flag.Duration("stop-grace", 1500*time.Millisecond, "how long a signaled run may take to reach the next step boundary before the immediate flush-and-exit fallback fires")
-	observablesPath := flag.String("observables", "", "write the scenario collapse observables (flat JSON metric map) to this path on rank 0 after the run (requires -scenario)")
-	tracePath := flag.String("trace", "", "write a Chrome trace_event JSON timeline to this path (open in chrome://tracing or Perfetto)")
-	telemetryAddr := flag.String("telemetry-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address (e.g. :9090; :0 picks a port; empty: disabled)")
-	stepLogPath := flag.String("step-log", "", "write a JSONL structured step log to this path (- for stdout)")
-	quiet := flag.Bool("quiet", false, "suppress per-step human output (final summary still printed)")
-	transportName := flag.String("transport", "inproc", "rank transport: inproc (all ranks in this process) or tcp (this process is one rank)")
-	rank := flag.Int("rank", 0, "this process's rank (tcp transport)")
-	coord := flag.String("coord", "", "rendezvous coordinator host:port; rank 0 listens on it (tcp transport)")
-	listen := flag.String("listen", "", "data listener bind address (tcp transport; empty picks a free port)")
-	dialTimeout := flag.Duration("net-dial-timeout", 0, "rendezvous + mesh construction budget (0: 30s)")
-	readTimeout := flag.Duration("net-read-timeout", 0, "per-frame read deadline (0: none)")
-	writeTimeout := flag.Duration("net-write-timeout", 0, "per-frame write deadline (0: none)")
-	netHeartbeat := flag.Duration("net-heartbeat", 0, "idle-link heartbeat cadence (0: 2s; negative disables)")
-	netPeerTimeout := flag.Duration("net-peer-timeout", 0, "declare a silent peer failed after this long (0: 30s)")
-	netRetransmit := flag.Duration("net-retransmit", 0, "force a reconnect when acks stall this long (0: 3s; negative disables)")
-	netMaxReconnect := flag.Int("net-max-reconnect", 0, "reconnect attempts per failure episode (0: 8; negative disables reconnect)")
-	netChaos := flag.String("net-chaos", "", "inject seeded wire faults, e.g. drop=0.01,reset=0.001,seed=7 (fault drill; physics must stay bitwise identical)")
-	sumsPath := flag.String("sums", "", "write final conserved-field checksums (hex float64 bits) to this file on rank 0")
-	obsTrace := flag.String("obs-trace", "", "write the cluster-wide merged clock-aligned Chrome trace to this path on rank 0 (enables the cross-rank observatory)")
-	obsReport := flag.String("obs-report", "", "write the Table-4-shaped cluster imbalance report (text) to this path on rank 0 (- for stderr)")
-	obsReportJSON := flag.String("obs-report-json", "", "write the cluster imbalance report (JSON) to this path on rank 0")
-	obsSyncEvery := flag.Int("obs-sync-every", 0, "clock-offset re-sync cadence in steps on tcp worlds (0: 64)")
-	obsWriteEvery := flag.Int("obs-write-every", 0, "observatory artifact rewrite cadence in steps, so kills leave usable partial output (0: 16)")
-	flag.Parse()
-
-	obsOn := *obsTrace != "" || *obsReport != "" || *obsReportJSON != ""
-	obsReportPath := *obsReport
-	if obsReportPath == "-" {
-		obsReportPath = "" // rendered to stderr after the run instead
+	o, err := parse(os.Args[1:])
+	if err != nil {
+		log.Fatal(err)
+	}
+	cfg := &o.cfg
+	rank0 := o.tcp == nil || o.tcp.Rank == 0
+	if o.banner != "" && !o.quiet {
+		fmt.Fprintln(os.Stderr, o.banner)
 	}
 
 	// Telemetry sinks, each opt-in via its flag; the hot loop pays only a
 	// pointer check for whatever stays disabled.
 	var tel *cubism.Telemetry
-	telOn := *tracePath != "" || *telemetryAddr != "" || *stepLogPath != "" || obsOn
-	if telOn {
+	obsOn := cfg.Observe != nil
+	if o.tracePath != "" || o.telemetryAddr != "" || o.stepLogPath != "" || obsOn {
 		tel = &cubism.Telemetry{Metrics: cubism.NewMetricsRegistry()}
 	}
 	var traceFile *os.File
-	if *tracePath != "" {
+	if o.tracePath != "" {
 		// Created up front so a bad path fails before the run, not after.
-		f, err := os.Create(*tracePath)
+		f, err := os.Create(o.tracePath)
 		if err != nil {
 			log.Fatalf("trace: %v", err)
 		}
@@ -136,18 +370,18 @@ func main() {
 		// per-process -trace file was requested.
 		tel.Tracer = cubism.NewTracer()
 	}
-	if *telemetryAddr != "" {
-		srv, err := cubism.ServeTelemetry(*telemetryAddr, tel.Metrics)
+	if o.telemetryAddr != "" {
+		srv, err := cubism.ServeTelemetry(o.telemetryAddr, tel.Metrics)
 		if err != nil {
 			log.Fatalf("telemetry listener: %v", err)
 		}
 		defer srv.Close()
 		fmt.Fprintf(os.Stderr, "telemetry: serving /metrics, /debug/vars, /debug/pprof on http://%s\n", srv.Addr())
 	}
-	if *stepLogPath != "" {
+	if o.stepLogPath != "" {
 		w := os.Stdout
-		if *stepLogPath != "-" {
-			f, err := os.Create(*stepLogPath)
+		if o.stepLogPath != "-" {
+			f, err := os.Create(o.stepLogPath)
 			if err != nil {
 				log.Fatalf("step log: %v", err)
 			}
@@ -155,6 +389,7 @@ func main() {
 		}
 		tel.StepLog = cubism.NewStepLogger(w)
 	}
+	cfg.Telemetry = tel
 
 	// flushTelemetry drains whatever the local sinks have buffered — the
 	// per-process trace file and the step log. It runs once, from whichever
@@ -190,6 +425,7 @@ func main() {
 	// returns), so a drain that merely has long steps — or the
 	// post-boundary checkpoint/observables writes — is never killed by it.
 	ctl := cubism.NewController()
+	cfg.Control = ctl
 	runDone := make(chan struct{})
 	var signalExit atomic.Int32
 	sigCh := make(chan os.Signal, 2)
@@ -208,7 +444,7 @@ func main() {
 				return // boundary reached; the main path owns the exit
 			case <-runDone:
 				return // run ended on its own before the boundary check
-			case <-time.After(*stopGrace):
+			case <-time.After(o.stopGrace):
 			}
 			flushTelemetry()
 			os.Exit(code)
@@ -218,190 +454,40 @@ func main() {
 		os.Exit(code)
 	}()
 
-	cfg := cubism.Config{
-		CheckpointEvery: *ckptEvery,
-		CheckpointPath:  *ckptPath,
-		RestorePath:     *restorePath,
-		Control:         ctl,
-		StopCheckpoint:  *stopCkpt,
-		Ranks:           parseTriple(*ranks, [3]int{1, 1, 1}),
-		Blocks:          parseTriple(*blocks, [3]int{4, 4, 4}),
-		BlockSize:       *n,
-		Extent:          1.0,
-		Workers:         *workers,
-		Layout:          *layoutName,
-		Steps:           *steps,
-		DumpEvery:       *dumpEvery,
-		DumpDir:         *dumpDir,
-		Encoder:         *encoder,
-		DiagEvery:       *diagEvery,
-		Telemetry:       tel,
-		ChecksumPath:    *sumsPath,
-	}
-	cfg.RebalanceEvery = *rebalanceEvery
-	cfg.RebalanceThreshold = *rebalanceThreshold
-	cfg.ForceRebalanceStep = *rebalanceForceStep
-	// Frame streaming: the flags are uniform across a fleet (the streaming
-	// is collective), while the sink below only ever runs on rank 0.
-	if *frameDir != "" || *frameLog != "" {
-		cfg.StreamFrames = true
-		var frameLogFile *os.File
-		cfg.FrameSink = func(f cubism.Frame) error {
-			if *frameDir != "" {
-				if err := os.WriteFile(filepath.Join(*frameDir, f.Name), f.Data, 0o644); err != nil {
-					return err
-				}
-			}
-			if *frameLog != "" {
-				if frameLogFile == nil {
-					var err error
-					frameLogFile, err = os.OpenFile(*frameLog, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-					if err != nil {
-						return err
-					}
-				}
-				rec, err := json.Marshal(cubism.FrameRecord{
-					Name: f.Name, Step: f.Step, Quantity: f.Quantity,
-					Time: f.Time, Bytes: len(f.Data), Data: f.Data,
-				})
-				if err != nil {
-					return err
-				}
-				if _, err := frameLogFile.Write(append(rec, '\n')); err != nil {
-					return err
-				}
-			}
-			return nil
+	if o.tcp != nil {
+		t := *o.tcp
+		d := cfg.Cluster.RankDims
+		t.Size = d[0] * d[1] * d[2]
+		t.Registry, t.Tracer = tel.GetMetrics(), tel.GetTracer()
+		t.OnError = func(err error) {
+			// The mailbox is already poisoned; flush the local sinks,
+			// then abort with the same code and guidance as the
+			// transport's default escalation path.
+			fmt.Fprintf(os.Stderr,
+				"mpcf-sim: unrecoverable wire failure: %v\n"+
+					"restart the job from the last checkpoint (mpcf-sim -restore)\n", err)
+			flushTelemetry()
+			os.Exit(3)
 		}
-	}
-	if obsOn {
-		cfg.Observe = &cubism.ObserveConfig{
-			TracePath:      *obsTrace,
-			ReportPath:     obsReportPath,
-			ReportJSONPath: *obsReportJSON,
-			SyncEvery:      *obsSyncEvery,
-			WriteEvery:     *obsWriteEvery,
+		w, err := mpi.ConnectTCP(t)
+		if err != nil {
+			flushTelemetry()
+			log.Fatal(err)
 		}
-	}
-	switch *transportName {
-	case "inproc", "":
-	case "tcp":
-		if *coord == "" {
-			log.Fatal("-transport tcp requires -coord host:port")
-		}
-		cfg.Net = &cubism.NetConfig{
-			OnWireError: func(err error) {
-				// The mailbox is already poisoned; flush the local sinks,
-				// then abort with the same code and guidance as the
-				// transport's default escalation path.
-				fmt.Fprintf(os.Stderr,
-					"mpcf-sim: unrecoverable wire failure: %v\n"+
-						"restart the job from the last checkpoint (mpcf-sim -restore)\n", err)
-				flushTelemetry()
-				os.Exit(3)
-			},
-			Transport:         "tcp",
-			Rank:              *rank,
-			Coord:             *coord,
-			Listen:            *listen,
-			DialTimeout:       *dialTimeout,
-			ReadTimeout:       *readTimeout,
-			WriteTimeout:      *writeTimeout,
-			HeartbeatInterval: *netHeartbeat,
-			PeerTimeout:       *netPeerTimeout,
-			RetransmitTimeout: *netRetransmit,
-			MaxReconnect:      *netMaxReconnect,
-			Chaos:             *netChaos,
-		}
-	default:
-		log.Fatalf("unknown transport %q (want inproc or tcp)", *transportName)
+		cfg.World = w
 	}
 
 	var scenarioObs *cubism.ScenarioObserver
-	if *observablesPath != "" && *scenarioName == "" {
-		log.Fatal("-observables requires -scenario (the metric map is defined by the scenario's analytic references)")
+	if o.observablesPath != "" {
+		scenarioObs = cubism.NewScenarioObserver(o.scn)
 	}
-	if *scenarioName != "" {
-		// Registry-backed setup: the scenario provides the initial condition,
-		// boundary conditions and wall diagnostics; the CLI decomposition and
-		// step flags override its laptop-scale defaults.
-		setFlags := map[string]bool{}
-		flag.Visit(func(f *flag.Flag) { setFlags[f.Name] = true })
-		sp := cubism.ScenarioParams{
-			Ranks:     cfg.Ranks,
-			Blocks:    cfg.Blocks,
-			BlockSize: *n,
-			Steps:     *steps,
-			Workers:   *workers,
-			Seed:      *seed,
-			DiagEvery: *diagEvery,
-			Beta:      *beta,
-		}
-		if setFlags["bubbles"] {
-			// Only forward an explicit count: the array scenario reads it as
-			// the lattice edge, and -beta computes the cloud count itself.
-			sp.Bubbles = *bubbles
-		}
-		c, err := cubism.BuildScenario(*scenarioName, sp)
-		if err != nil {
-			log.Fatal(err)
-		}
-		sc := cubism.ScenarioConfig(c)
-		cfg.Init = sc.Init
-		cfg.Boundaries = sc.Boundaries
-		cfg.Wall = sc.Wall
-		cfg.HasWall = sc.HasWall
-		if *observablesPath != "" {
-			scenarioObs = cubism.NewScenarioObserver(c)
-		}
-		if !*quiet {
-			fmt.Fprintf(os.Stderr, "scenario %s: %d bubbles", c.Name, len(c.Bubbles))
-			if c.Beta > 0 {
-				fmt.Fprintf(os.Stderr, ", beta=%.3f, alpha0=%.4f", c.Beta, c.VoidFraction)
-			}
-			if c.RayleighTau > 0 {
-				fmt.Fprintf(os.Stderr, ", rayleigh tau=%.3e", c.RayleighTau)
-			}
-			fmt.Fprintln(os.Stderr)
-		}
-	} else {
-		switch *caseName {
-		case "sod":
-			cfg.Init = cubism.SodInit
-		case "bubble":
-			cfg.Init = cubism.CloudField([]cubism.Bubble{{X: 0.5, Y: 0.5, Z: 0.5, R: 0.15}}, 0.02)
-		case "cloud":
-			cloudBubbles, err := cubism.GenerateCloud(cubism.CloudSpec{
-				Center: [3]float64{0.5, 0.5, 0.55},
-				Radius: 0.3,
-				N:      *bubbles,
-				RMin:   0.04, RMax: 0.09,
-				Seed: *seed,
-			})
-			if err != nil {
-				log.Fatal(err)
-			}
-			if !*quiet {
-				fmt.Fprintf(os.Stderr, "generated %d bubbles\n", len(cloudBubbles))
-			}
-			cfg.Init = cubism.CloudField(cloudBubbles, 0.015)
-		default:
-			log.Fatalf("unknown case %q", *caseName)
-		}
-	}
-	if *wall {
-		cfg.Boundaries = cubism.WallBC(cubism.ZLo)
-		cfg.Wall = cubism.ZLo
-		cfg.HasWall = true
-	}
-
 	// Per-step output: the structured record goes to the step log (when
 	// enabled); here only a human summary line remains, -quiet silences it.
-	summary, runErr := cubism.Run(cfg, func(s cubism.StepInfo) {
+	summary, runErr := cubism.Run(*cfg, func(s cubism.StepInfo) {
 		if scenarioObs != nil {
 			scenarioObs.OnStep(s)
 		}
-		if *quiet {
+		if o.quiet {
 			return
 		}
 		if s.HasDiag {
@@ -415,23 +501,26 @@ func main() {
 		}
 	})
 	close(runDone)
+	if runErr == nil {
+		runErr = o.sumsErr
+	}
 	if runErr != nil {
 		flushTelemetry()
 		log.Fatal(runErr)
 	}
 	flushTelemetry()
-	if scenarioObs != nil && (cfg.Net == nil || cfg.Net.Rank == 0) {
+	if scenarioObs != nil && rank0 {
 		// Written on the normal AND the graceful-stop path: a canceled job
 		// still leaves its partial observables as a usable artifact.
 		data, err := json.MarshalIndent(scenarioObs.Metrics(), "", "  ")
 		if err == nil {
-			err = os.WriteFile(*observablesPath, append(data, '\n'), 0o644)
+			err = os.WriteFile(o.observablesPath, append(data, '\n'), 0o644)
 		}
 		if err != nil {
 			log.Fatalf("observables: %v", err)
 		}
 	}
-	if summary.Stopped && (cfg.Net == nil || cfg.Net.Rank == 0) {
+	if summary.Stopped && rank0 {
 		fmt.Fprintf(os.Stderr, "stopped gracefully at step %d (reason: %s)\n",
 			summary.Steps, summary.StopReason)
 	}
@@ -442,16 +531,16 @@ func main() {
 	}
 	if traceFile != nil {
 		fmt.Fprintf(os.Stderr, "telemetry: wrote %d spans to %s (open in chrome://tracing or https://ui.perfetto.dev)\n",
-			tel.Tracer.Len(), *tracePath)
+			tel.Tracer.Len(), o.tracePath)
 	}
-	if cfg.Net == nil || cfg.Net.Rank == 0 {
-		if *obsReport == "-" && summary.Observatory != nil {
+	if rank0 {
+		if o.obsReport == "-" && summary.Observatory != nil {
 			if err := summary.Observatory.WriteText(os.Stderr); err != nil {
 				log.Fatalf("imbalance report: %v", err)
 			}
 		}
-		if *obsTrace != "" {
-			fmt.Fprintf(os.Stderr, "observatory: merged trace at %s\n", *obsTrace)
+		if cfg.Observe != nil && cfg.Observe.TracePath != "" {
+			fmt.Fprintf(os.Stderr, "observatory: merged trace at %s\n", cfg.Observe.TracePath)
 		}
 		// The summary is gathered on rank 0; peer ranks hold a zero value.
 		fmt.Fprintf(os.Stderr, "\n%d steps, t=%.3e, wall %v, %.2f Mpoints/s\n%s",

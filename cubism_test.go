@@ -11,11 +11,13 @@ import (
 func TestPublicAPISodRun(t *testing.T) {
 	var steps int
 	sum, err := Run(Config{
-		Blocks:    [3]int{2, 1, 1},
-		BlockSize: 8,
-		Extent:    1,
-		Init:      SodInit,
-		Steps:     4,
+		Cluster: ClusterConfig{
+			BlockDims: [3]int{2, 1, 1},
+			BlockSize: 8,
+			Extent:    1,
+			Init:      SodInit,
+		},
+		Steps: 4,
 	}, func(s StepInfo) { steps++ })
 	if err != nil {
 		t.Fatal(err)
@@ -41,16 +43,18 @@ func TestPublicAPICloudWithDumps(t *testing.T) {
 		t.Fatalf("bubbles = %d", len(bubbles))
 	}
 	_, err = Run(Config{
-		Blocks:     [3]int{2, 2, 2},
-		BlockSize:  8,
-		Extent:     1,
-		Boundaries: WallBC(ZLo),
-		Init:       CloudField(bubbles, 0.03),
-		Steps:      2,
-		DumpEvery:  2,
-		DumpDir:    dir,
-		Wall:       ZLo,
-		HasWall:    true,
+		Cluster: ClusterConfig{
+			BlockDims: [3]int{2, 2, 2},
+			BlockSize: 8,
+			Extent:    1,
+			BC:        WallBC(ZLo),
+			Init:      CloudField(bubbles, 0.03),
+		},
+		Steps:     2,
+		DumpEvery: 2,
+		DumpDir:   dir,
+		Wall:      ZLo,
+		HasWall:   true,
 	}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -81,11 +85,13 @@ func TestPublicAPICloudWithDumps(t *testing.T) {
 func TestPublicAPIMultiRank(t *testing.T) {
 	tel := &Telemetry{Tracer: NewTracer()}
 	sum, err := Run(Config{
-		Ranks:     [3]int{2, 1, 1},
-		Blocks:    [3]int{1, 1, 1},
-		BlockSize: 8,
-		Extent:    1,
-		Init:      SodInit,
+		Cluster: ClusterConfig{
+			RankDims:  [3]int{2, 1, 1},
+			BlockDims: [3]int{1, 1, 1},
+			BlockSize: 8,
+			Extent:    1,
+			Init:      SodInit,
+		},
 		Steps:     3,
 		DiagEvery: 1,
 		Telemetry: tel,

@@ -10,10 +10,12 @@ import (
 // smallest complete use of the public API.
 func Example() {
 	summary, err := cubism.Run(cubism.Config{
-		Blocks:    [3]int{2, 1, 1},
-		BlockSize: 8,
-		Extent:    1.0,
-		Init:      cubism.SodInit,
+		Cluster: cubism.ClusterConfig{
+			BlockDims: [3]int{2, 1, 1},
+			BlockSize: 8,
+			Extent:    1.0,
+			Init:      cubism.SodInit,
+		},
 		Steps:     3,
 		DiagEvery: 1 << 30,
 	}, nil)

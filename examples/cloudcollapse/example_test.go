@@ -28,8 +28,7 @@ func TestScenarioSmoke(t *testing.T) {
 				t.Fatal("scenario built no bubbles")
 			}
 			obs := cubism.NewScenarioObserver(c)
-			cfg := cubism.ScenarioConfig(c)
-			if _, err := cubism.Run(cfg, obs.OnStep); err != nil {
+			if _, err := cubism.Run(c.Config, obs.OnStep); err != nil {
 				t.Fatal(err)
 			}
 			m := obs.Metrics()

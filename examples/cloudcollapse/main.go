@@ -45,7 +45,7 @@ func main() {
 	fmt.Fprintf(os.Stderr, "%s: %d bubbles, β=%.3f, α₀=%.4f, Rayleigh τ=%.3e\n",
 		c.Name, len(c.Bubbles), c.Beta, c.VoidFraction, c.RayleighTau)
 
-	cfg := cubism.ScenarioConfig(c)
+	cfg := c.Config
 	if *dumps {
 		dir, err := os.MkdirTemp("", "mpcf-dumps-*")
 		if err != nil {

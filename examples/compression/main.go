@@ -66,10 +66,12 @@ func snapshot(bubbles []cubism.Bubble, eps float64, enc string) (map[string][]fl
 	defer os.RemoveAll(dir)
 	var rates map[string]float64
 	cfg := cubism.Config{
-		Blocks:    [3]int{4, 4, 4},
-		BlockSize: 16,
-		Extent:    1.0,
-		Init:      cubism.CloudField(bubbles, 0.02),
+		Cluster: cubism.ClusterConfig{
+			BlockDims: [3]int{4, 4, 4},
+			BlockSize: 16,
+			Extent:    1.0,
+			Init:      cubism.CloudField(bubbles, 0.02),
+		},
 		Steps:     steps,
 		DumpEvery: steps,
 		DumpDir:   dir,

@@ -15,10 +15,12 @@ import (
 
 func main() {
 	cfg := cubism.Config{
-		Blocks:    [3]int{4, 1, 1}, // 4 blocks of 16³ along x
-		BlockSize: 16,
-		Extent:    1.0,
-		Init:      cubism.SodInit,
+		Cluster: cubism.ClusterConfig{
+			BlockDims: [3]int{4, 1, 1}, // 4 blocks of 16³ along x
+			BlockSize: 16,
+			Extent:    1.0,
+			Init:      cubism.SodInit,
+		},
 		TEnd:      0.15,
 		Steps:     10000, // bounded by TEnd
 		DiagEvery: 10,

@@ -34,23 +34,25 @@ func main() {
 	bubble := []cubism.Bubble{{X: 0.5, Y: 0.5, Z: 0.5, R: bubbleR}}
 
 	cfg := cubism.Config{
-		Blocks:    [3]int{4, 4, 4},
-		BlockSize: *n,
-		Extent:    1.0,
+		Cluster: cubism.ClusterConfig{
+			BlockDims: [3]int{4, 4, 4},
+			BlockSize: *n,
+			Extent:    1.0,
+			Init: func(x, y, z float64) cubism.State {
+				// Two-phase field: bubble in liquid, plus a left shock state.
+				field := cubism.CloudField(bubble, 0.02)
+				s := field(x, y, z)
+				if x < shockX {
+					// Post-shock liquid state moving right.
+					s.P = shockP
+					s.Rho *= 1.1
+					s.U = math.Sqrt((shockP - ambientP) * (1/0.9 - 1) / s.Rho * 0.9)
+				}
+				return s
+			},
+		},
 		Steps:     *steps,
 		DiagEvery: 5,
-		Init: func(x, y, z float64) cubism.State {
-			// Two-phase field: bubble in liquid, plus a left shock state.
-			field := cubism.CloudField(bubble, 0.02)
-			s := field(x, y, z)
-			if x < shockX {
-				// Post-shock liquid state moving right.
-				s.P = shockP
-				s.Rho *= 1.1
-				s.U = math.Sqrt((shockP - ambientP) * (1/0.9 - 1) / s.Rho * 0.9)
-			}
-			return s
-		},
 	}
 
 	fmt.Println("# shock-bubble interaction: t, dt, equivalent_radius, max_pressure/ambient")

@@ -52,10 +52,12 @@ func main() {
 
 	// 3D compressible solver on the same setup.
 	cfg := cubism.Config{
-		Blocks:    [3]int{*blocks, *blocks, *blocks},
-		BlockSize: *n,
-		Extent:    1.0,
-		Init:      cubism.CloudField([]cubism.Bubble{{X: 0.5, Y: 0.5, Z: 0.5, R: bubbleR}}, 0.02),
+		Cluster: cubism.ClusterConfig{
+			BlockDims: [3]int{*blocks, *blocks, *blocks},
+			BlockSize: *n,
+			Extent:    1.0,
+			Init:      cubism.CloudField([]cubism.Bubble{{X: 0.5, Y: 0.5, Z: 0.5, R: bubbleR}}, 0.02),
+		},
 		Steps:     *steps,
 		DiagEvery: 5,
 	}

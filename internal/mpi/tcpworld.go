@@ -2,64 +2,20 @@ package mpi
 
 import (
 	"fmt"
-	"net"
 	"os"
-	"time"
 
-	"cubism/internal/telemetry"
 	"cubism/internal/transport"
 )
 
 // TCPConfig configures one process's attachment to a distributed world
-// over the tcp transport. Zero-valued durations and sizes take the
-// transport defaults (see transport.TCPOptions).
-type TCPConfig struct {
-	Rank   int    // this process's rank in [0, Size)
-	Size   int    // world size (number of processes)
-	Coord  string // rendezvous coordinator address; rank 0 listens on it
-	Listen string // data listener bind address ("" = any port, loopback advertised)
-
-	DialTimeout  time.Duration
-	ReadTimeout  time.Duration
-	WriteTimeout time.Duration
-	CloseTimeout time.Duration
-
-	MaxFrame  int
-	SendQueue int
-
-	// Robustness knobs, forwarded to the transport (zero = transport
-	// defaults; see transport.TCPOptions and docs/networking.md):
-	// heartbeat cadence on idle links, the failure-detection horizon for a
-	// silent or unreachable peer, the ack-stall bound that triggers a
-	// reconnect, the per-episode reconnect attempt cap, and the resend
-	// window depth.
-	HeartbeatInterval time.Duration
-	PeerTimeout       time.Duration
-	RetransmitTimeout time.Duration
-	MaxReconnect      int
-	ResendQueue       int
-
-	// Fault, when non-nil, injects wire faults on outgoing data frames
-	// (chaos testing; see transport.FaultInjector and internal/transport/faulty).
-	Fault transport.FaultInjector
-
-	Registry *telemetry.Registry
-	Tracer   *telemetry.Tracer
-
-	// CoordListener, when non-nil on rank 0, is a pre-bound rendezvous
-	// listener (lets a launcher pick a free port without a bind race).
-	CoordListener net.Listener
-
-	// OnError observes unrecoverable wire failures — a peer that stayed
-	// unreachable past PeerTimeout despite reconnect attempts (transient
-	// faults are recovered inside the transport and never surface here).
-	// Whether or not it is set, the local mailbox is poisoned first, so
-	// blocked receives panic with the failure instead of hanging forever.
-	// When nil, the failure then crashes the process with exit code 3 and
-	// checkpoint-restart guidance: a rank whose peer is gone cannot make
-	// progress, and MPI's own convention is to abort the job.
-	OnError func(error)
-}
+// over the tcp transport: it is the transport's own option set (zero
+// values take the transport defaults). ConnectTCP wraps OnError so the
+// local mailbox is poisoned first — blocked receives then panic with the
+// failure instead of hanging forever — and, when OnError is nil, crashes
+// the process with exit code 3 and checkpoint-restart guidance: a rank
+// whose peer is gone cannot make progress, and MPI's own convention is to
+// abort the job.
+type TCPConfig = transport.TCPOptions
 
 // ConnectTCP joins (or, for rank 0, convenes) a distributed world: it
 // performs the rendezvous, builds the full peer mesh and returns a World
@@ -78,7 +34,7 @@ func ConnectTCP(cfg TCPConfig) (*World, error) {
 	box := newMailbox()
 	w.boxes[cfg.Rank] = box
 	userErr := cfg.OnError
-	onErr := func(err error) {
+	cfg.OnError = func(err error) {
 		// Poison first: any receive blocked on the dead peer panics with
 		// the failure instead of hanging, whatever the handler does next.
 		box.poison(err)
@@ -91,28 +47,7 @@ func ConnectTCP(cfg TCPConfig) (*World, error) {
 			err, cfg.Rank)
 		os.Exit(3)
 	}
-	ep, err := transport.DialTCP(transport.TCPOptions{
-		Rank:              cfg.Rank,
-		Size:              cfg.Size,
-		Coord:             cfg.Coord,
-		Listen:            cfg.Listen,
-		DialTimeout:       cfg.DialTimeout,
-		ReadTimeout:       cfg.ReadTimeout,
-		WriteTimeout:      cfg.WriteTimeout,
-		CloseTimeout:      cfg.CloseTimeout,
-		MaxFrame:          cfg.MaxFrame,
-		SendQueue:         cfg.SendQueue,
-		HeartbeatInterval: cfg.HeartbeatInterval,
-		PeerTimeout:       cfg.PeerTimeout,
-		RetransmitTimeout: cfg.RetransmitTimeout,
-		MaxReconnect:      cfg.MaxReconnect,
-		ResendQueue:       cfg.ResendQueue,
-		Fault:             cfg.Fault,
-		Registry:          cfg.Registry,
-		Tracer:            cfg.Tracer,
-		CoordListener:     cfg.CoordListener,
-		OnError:           onErr,
-	}, box.deliver)
+	ep, err := transport.DialTCP(cfg, box.deliver)
 	if err != nil {
 		return nil, err
 	}

@@ -29,31 +29,17 @@ type ObserveConfig struct {
 	ReportPath string
 	// ReportJSONPath receives the machine-readable report (rank 0).
 	ReportJSONPath string
-	// SyncEvery re-runs the clock-offset ping-pong every so many steps on
-	// distributed worlds (0: default 64; sync always runs once at start).
-	SyncEvery int
-	// SyncSamples is the ping-pong count per sync burst (0: default 8).
-	SyncSamples int
-	// WriteEvery rewrites the artifacts every so many steps so crashes
-	// leave usable partial output (0: default 16; negative: only at end).
-	WriteEvery int
 }
 
-func (c ObserveConfig) withDefaults() ObserveConfig {
-	if c.SyncEvery == 0 {
-		c.SyncEvery = 64
-	}
-	if c.SyncSamples <= 0 {
-		c.SyncSamples = 8
-	}
-	if c.SyncSamples > mpi.ObsMaxSyncSamples {
-		c.SyncSamples = mpi.ObsMaxSyncSamples
-	}
-	if c.WriteEvery == 0 {
-		c.WriteEvery = 16
-	}
-	return c
-}
+// The observatory cadences: distributed worlds re-run the clock-offset
+// ping-pong (obsSyncSamples round trips per peer) every obsSyncEvery steps
+// on top of the sync at start, and rank 0 rewrites the artifacts every
+// obsWriteEvery steps so a killed run leaves usable partial output.
+const (
+	obsSyncEvery   = 64
+	obsSyncSamples = 8
+	obsWriteEvery  = 16
+)
 
 // observer is the per-rank observatory state. Rank 0 holds the aggregator
 // and writes the artifacts; other ranks only sample and ship.
@@ -69,15 +55,15 @@ type observer struct {
 	agg *telemetry.Aggregator // rank 0 only
 	est []telemetry.ClockEstimator
 
-	prevKernel           map[string]time.Duration
-	prevGhost, prevWait  time.Duration
-	sinceWrite, flushed  int
+	prevKernel          map[string]time.Duration
+	prevGhost, prevWait time.Duration
+	sinceWrite, flushed int
 }
 
 func newObserver(cfg ObserveConfig, comm *mpi.Comm, tracer *telemetry.Tracer,
 	reg *telemetry.Registry, distributed bool) *observer {
 	o := &observer{
-		cfg:         cfg.withDefaults(),
+		cfg:         cfg,
 		comm:        comm,
 		tracer:      tracer,
 		reg:         reg,
@@ -104,7 +90,7 @@ func (o *observer) syncClocks() {
 	if o.root {
 		for peer := 1; peer < o.ranks; peer++ {
 			est := &o.est[peer]
-			for k := 0; k < o.cfg.SyncSamples; k++ {
+			for k := 0; k < obsSyncSamples; k++ {
 				t0 := o.tracer.Now()
 				o.comm.SendBytes(peer, mpi.TagObsPing(k), []byte{1})
 				reply := o.comm.RecvInts(peer, mpi.TagObsPong(k))
@@ -117,7 +103,7 @@ func (o *observer) syncClocks() {
 		}
 		return
 	}
-	for k := 0; k < o.cfg.SyncSamples; k++ {
+	for k := 0; k < obsSyncSamples; k++ {
 		o.comm.RecvBytes(0, mpi.TagObsPing(k))
 		t1 := o.tracer.Now()
 		o.comm.SendInts(0, mpi.TagObsPong(k), []int64{t1, o.tracer.Now()})
@@ -174,12 +160,12 @@ func (o *observer) flush(r *cluster.Rank, step int, wallMS float64) error {
 		}
 	}
 	o.flushed++
-	if o.cfg.SyncEvery > 0 && o.flushed%o.cfg.SyncEvery == 0 {
+	if o.flushed%obsSyncEvery == 0 {
 		o.syncClocks()
 	}
 	if o.root {
 		o.sinceWrite++
-		if o.cfg.WriteEvery > 0 && o.sinceWrite >= o.cfg.WriteEvery {
+		if o.sinceWrite >= obsWriteEvery {
 			o.sinceWrite = 0
 			if err := o.writeArtifacts(); err != nil {
 				return err

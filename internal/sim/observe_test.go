@@ -16,7 +16,6 @@ func observeCfg(dir string) (Config, *ObserveConfig) {
 		TracePath:      filepath.Join(dir, "trace_merged.json"),
 		ReportPath:     filepath.Join(dir, "imbalance.txt"),
 		ReportJSONPath: filepath.Join(dir, "imbalance.json"),
-		WriteEvery:     2,
 	}
 	cfg := Config{
 		Cluster: cluster.Config{

@@ -13,6 +13,7 @@ import (
 	"cubism/internal/compress"
 	"cubism/internal/dump"
 	"cubism/internal/grid"
+	"cubism/internal/layout"
 	"cubism/internal/mpi"
 	"cubism/internal/perf"
 	"cubism/internal/physics"
@@ -192,11 +193,15 @@ func Run(cfg Config, onStep func(StepInfo)) (Summary, error) {
 	if cfg.EpsG == 0 {
 		cfg.EpsG = 1e-3
 	}
-	nRanks := cfg.Cluster.RankDims[0] * cfg.Cluster.RankDims[1] * cfg.Cluster.RankDims[2]
-	if nRanks <= 0 {
-		return Summary{}, fmt.Errorf("sim: invalid rank dims %v", cfg.Cluster.RankDims)
+	cc := cfg.Cluster
+	nRanks := cc.RankDims[0] * cc.RankDims[1] * cc.RankDims[2]
+	// Every rank builds this layout from the shared config; a bad layout
+	// name or a non-positive rank or block dim is a configuration error,
+	// returned before any rank starts.
+	if _, err := layout.New(cc.Layout, cc.RankDims, cc.BlockDims, nRanks, [3]bool{}); err != nil {
+		return Summary{}, fmt.Errorf("sim: %w", err)
 	}
-	if n := cfg.Cluster.BlockSize; n < 2*grid.StencilWidth {
+	if n := cc.BlockSize; n < 2*grid.StencilWidth {
 		return Summary{}, fmt.Errorf("sim: block size %d smaller than twice the stencil width %d",
 			n, grid.StencilWidth)
 	}
@@ -205,7 +210,7 @@ func Run(cfg Config, onStep func(StepInfo)) (Summary, error) {
 		world = mpi.NewWorld(nRanks)
 	} else if world.Size() != nRanks {
 		return Summary{}, fmt.Errorf("sim: world size %d does not match rank dims %v",
-			world.Size(), cfg.Cluster.RankDims)
+			world.Size(), cc.RankDims)
 	}
 
 	tel := cfg.Telemetry
@@ -448,10 +453,10 @@ func Run(cfg Config, onStep func(StepInfo)) (Summary, error) {
 					if info.HasTotals {
 						rec.HasTotals = true
 						rec.TotalMass = info.Totals.Mass
-						rec.TotalMom = [3]float64{info.Totals.MomX, info.Totals.MomY, info.Totals.MomZ}
+						rec.TotalMom = []float64{info.Totals.MomX, info.Totals.MomY, info.Totals.MomZ}
 						rec.TotalEnergy = info.Totals.Energy
-						rec.GammaRange = [2]float64{info.Totals.GammaMin, info.Totals.GammaMax}
-						rec.PiRange = [2]float64{info.Totals.PiMin, info.Totals.PiMax}
+						rec.GammaRange = []float64{info.Totals.GammaMin, info.Totals.GammaMax}
+						rec.PiRange = []float64{info.Totals.PiMin, info.Totals.PiMax}
 						rec.NonFinite = info.Totals.NonFinite
 					}
 					if err := stepLog.Log(rec); err != nil {

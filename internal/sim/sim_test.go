@@ -141,10 +141,18 @@ func TestRunDiagCadence(t *testing.T) {
 }
 
 func TestRunInvalidRanks(t *testing.T) {
-	cfg := smallConfig()
-	cfg.Cluster.RankDims = [3]int{0, 1, 1}
-	if _, err := Run(cfg, nil); err == nil {
-		t.Error("expected error for invalid rank dims")
+	for name, mutate := range map[string]func(*Config){
+		"rank dims":  func(c *Config) { c.Cluster.RankDims = [3]int{0, 1, 1} },
+		"block dims": func(c *Config) { c.Cluster.BlockDims = [3]int{0, 1, 1} },
+		"layout":     func(c *Config) { c.Cluster.Layout = "bogus" },
+	} {
+		// Each is a configuration error returned before any rank starts,
+		// not a panic inside a rank goroutine.
+		cfg := smallConfig()
+		mutate(&cfg)
+		if _, err := Run(cfg, nil); err == nil {
+			t.Errorf("expected an error for invalid %s", name)
+		}
 	}
 }
 

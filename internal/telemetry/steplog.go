@@ -33,13 +33,15 @@ type StepRecord struct {
 
 	// Conservation-audit totals (∫dV of the conserved quantities), present
 	// on AuditEvery steps; the verification subsystem tracks their drift.
-	HasTotals   bool       `json:"has_totals,omitempty"`
-	TotalMass   float64    `json:"total_mass,omitempty"`
-	TotalMom    [3]float64 `json:"total_momentum,omitempty"`
-	TotalEnergy float64    `json:"total_energy,omitempty"`
-	GammaRange  [2]float64 `json:"gamma_range,omitempty"`
-	PiRange     [2]float64 `json:"pi_range,omitempty"`
-	NonFinite   int        `json:"non_finite,omitempty"`
+	// The vector and range fields are slices (x, y, z and min, max) so
+	// they are absent, not zero-filled, on unaudited steps.
+	HasTotals   bool      `json:"has_totals,omitempty"`
+	TotalMass   float64   `json:"total_mass,omitempty"`
+	TotalMom    []float64 `json:"total_momentum,omitempty"`
+	TotalEnergy float64   `json:"total_energy,omitempty"`
+	GammaRange  []float64 `json:"gamma_range,omitempty"`
+	PiRange     []float64 `json:"pi_range,omitempty"`
+	NonFinite   int       `json:"non_finite,omitempty"`
 }
 
 // StepLogger writes StepRecords as JSON Lines. A nil *StepLogger discards

@@ -50,6 +50,39 @@ func TestStepLoggerRoundTrip(t *testing.T) {
 	}
 }
 
+// TestStepLoggerTotalsOnlyWhenAudited: an unaudited step carries no
+// conservation totals at all (no zero-filled vectors a reader could take
+// for real ones); an audited step carries every one of them.
+func TestStepLoggerTotalsOnlyWhenAudited(t *testing.T) {
+	var buf bytes.Buffer
+	l := NewStepLogger(&buf)
+	if err := l.Log(StepRecord{Step: 1, HasDiag: true, MaxPressure: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Log(StepRecord{Step: 2, HasTotals: true, TotalMass: 1,
+		TotalMom: []float64{0.5, 0, 0}, TotalEnergy: 2,
+		GammaRange: []float64{1.5, 2.5}, PiRange: []float64{0, 3}}); err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.Split(bytes.TrimSpace(buf.Bytes()), []byte("\n"))
+	if len(lines) != 2 {
+		t.Fatalf("expected 2 lines, got %d", len(lines))
+	}
+	keys := []string{"has_totals", "total_mass", "total_momentum", "total_energy",
+		"gamma_range", "pi_range"}
+	for i, want := range []bool{false, true} {
+		var m map[string]any
+		if err := json.Unmarshal(lines[i], &m); err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range keys {
+			if _, ok := m[k]; ok != want {
+				t.Errorf("step %d: key %q present = %v, want %v (%s)", i+1, k, ok, want, lines[i])
+			}
+		}
+	}
+}
+
 type syncBuffer struct {
 	mu  sync.Mutex
 	buf bytes.Buffer
