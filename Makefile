@@ -31,11 +31,12 @@ race:
 
 # Flake sweep of the concurrency packages — the per-step collective
 # schedule (sim, cluster, mpi), the worker pool (node), the wire (transport,
-# launch), the telemetry sinks and the service with its scenario builds:
-# shuffled repeats, a single-P leg and a race leg (CI runs it nightly).
+# launch), the telemetry sinks, the service with its scenario builds, and
+# the snapshot path (dump, checkpoint, compress, layout): shuffled repeats,
+# a single-P leg and a race leg (CI runs it nightly).
 FLAKE_PKGS = ./internal/sim ./internal/cluster ./internal/mpi ./internal/service \
 	./internal/node ./internal/transport ./internal/launch ./internal/telemetry ./internal/scenario \
-	. ./cmd/mpcf-sim
+	. ./cmd/mpcf-sim ./internal/dump ./internal/checkpoint ./internal/compress ./internal/layout
 flake:
 	$(GO) test -count=20 -shuffle=on $(FLAKE_PKGS)
 	GOMAXPROCS=1 $(GO) test -count=5 $(FLAKE_PKGS)
@@ -80,9 +81,11 @@ service-smoke: bin
 # real OS processes over tcp — clean wire AND a seeded faulty wire (drops,
 # duplications, resets masked by the reliability layer) — must produce
 # conserved-field checksums bitwise identical to the in-process transport.
-# A scenario leg runs the registry's cloud case both ways, long enough for
-# its audit cadence (every 20 steps) to fire: the checksums and the
-# observables (mass_drift among them) must match byte for byte.
+# A checkpoint written by the 2-process run at step 3 must resume in one
+# hilbert-layout process to the same step-5 checksums. A scenario leg runs
+# the registry's cloud case both ways, long enough for its audit cadence
+# (every 20 steps) to fire: the checksums and the observables (mass_drift
+# among them) must match byte for byte.
 smoke-net: bin
 	@rm -rf smoke-net.tmp && mkdir smoke-net.tmp
 	./bin/mpcf-sim -case sod -ranks 2,1,1 -blocks 2,2,2 -n 8 -steps 5 \
@@ -101,6 +104,11 @@ smoke-net: bin
 		-net-chaos "drop=0.05,dup=0.05,reset=0.01,seed=11" \
 		-net-heartbeat 50ms -net-retransmit 150ms -net-peer-timeout 20s
 	cmp smoke-net.tmp/inproc.sums smoke-net.tmp/migrate.sums
+	./bin/mpcf-launch -n 2 -- -case sod -ranks 2,1,1 -blocks 2,2,2 -n 8 -steps 3 \
+		-quiet -diag-every 0 -checkpoint-every 3 -checkpoint smoke-net.tmp/step3.ckp
+	./bin/mpcf-sim -case sod -ranks 1,1,1 -blocks 4,2,2 -n 8 -steps 5 -layout hilbert \
+		-quiet -diag-every 0 -restore smoke-net.tmp/step3.ckp -sums smoke-net.tmp/restore.sums
+	cmp smoke-net.tmp/inproc.sums smoke-net.tmp/restore.sums
 	./bin/mpcf-sim -scenario cloud -ranks 2,1,1 -blocks 1,2,2 -n 8 -steps 21 -quiet \
 		-sums smoke-net.tmp/scn-inproc.sums -observables smoke-net.tmp/scn-inproc.json
 	./bin/mpcf-launch -n 2 -- -scenario cloud -ranks 2,1,1 -blocks 1,2,2 -n 8 -steps 21 -quiet \
@@ -108,7 +116,7 @@ smoke-net: bin
 	cmp smoke-net.tmp/scn-inproc.sums smoke-net.tmp/scn-tcp.sums
 	cmp smoke-net.tmp/scn-inproc.json smoke-net.tmp/scn-tcp.json
 	grep -q mass_drift smoke-net.tmp/scn-tcp.json
-	@echo "smoke-net: checksums bitwise identical across transports (clean + chaos + hilbert migration + cloud scenario)"
+	@echo "smoke-net: checksums bitwise identical across transports (clean + chaos + hilbert migration + cross-process checkpoint restore + cloud scenario)"
 	@rm -rf smoke-net.tmp
 
 # The chaos suite under the race detector: fault-injected transport
@@ -133,4 +141,4 @@ verify-short:
 
 # Replay the checked-in fuzz seed corpora without fuzzing new inputs.
 fuzz-seed:
-	$(GO) test -run 'Fuzz' ./internal/compress ./internal/dump ./internal/transport ./internal/service ./internal/telemetry
+	$(GO) test -run 'Fuzz' ./internal/compress ./internal/dump ./internal/checkpoint ./internal/transport ./internal/service ./internal/telemetry

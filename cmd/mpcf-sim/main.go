@@ -108,7 +108,7 @@ func parse(args []string) (*cli, error) {
 	diagEvery := fs.Int("diag-every", 10, "diagnostics cadence in steps")
 	ckptEvery := fs.Int("checkpoint-every", 0, "write a lossless checkpoint every so many steps (0: never)")
 	ckptPath := fs.String("checkpoint", "checkpoint.ckp", "checkpoint file path")
-	restorePath := fs.String("restore", "", "resume from this checkpoint file (same decomposition; the recovery path after a rank failure)")
+	restorePath := fs.String("restore", "", "resume from this checkpoint file (same block size and global block box, any layout and rank count; the recovery path after a rank failure)")
 	stopCkpt := fs.Bool("stop-checkpoint", false, "write a final checkpoint at the stop boundary when a signal ends the run early (implied by -checkpoint-every > 0)")
 	stopGrace := fs.Duration("stop-grace", 1500*time.Millisecond, "how long a signaled run may take to reach the next step boundary before the immediate flush-and-exit fallback fires")
 	observablesPath := fs.String("observables", "", "write the scenario collapse observables (flat JSON metric map) to this path on rank 0 after the run (requires -scenario)")

@@ -4,280 +4,154 @@
 // operations on Petabytes of data") by dumping only wavelet-compressed p
 // and Γ; a reusable library nevertheless needs restartability, so this
 // package writes the complete conserved state (all seven quantities, bit
-// exact) through the same collective shared-file path as the dumps, with a
-// DEFLATE pass to keep the footprint reasonable.
+// exact) as a dump container (internal/dump) of quantity "state".
 //
-// Format version 2 records each rank's canonical block-id table, so a
-// checkpoint is addressed by global block — not by writer decomposition —
-// and can be restored into any layout and rank count sharing the same
-// global block box (each reading rank pulls exactly the blocks it owns out
-// of whichever writer payloads hold them). Version 1 files, which implied a
-// cartesian decomposition, are still readable: their tables are derived
-// from the recorded rank grid.
+// Each block is one zlib stream of its raw float32 bits, not a wavelet
+// stream: the ε = 0 wavelet round trip is only within ulps, and a restart
+// must be bitwise. The container's per-rank block-id tables address the
+// checkpoint by global block, not by writer decomposition, so it restores
+// into any layout and rank count sharing the same global block box: each
+// reading rank inflates exactly the blocks it owns.
 package checkpoint
 
 import (
 	"bytes"
 	"compress/zlib"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
 	"os"
 
+	"cubism/internal/compress"
+	"cubism/internal/dump"
 	"cubism/internal/grid"
+	"cubism/internal/layout"
 	"cubism/internal/mpi"
-	"cubism/internal/sfc"
 )
 
-// Magic identifies checkpoint files.
-const Magic = "MPCFCkp1"
-
-// Header describes a checkpoint.
-type Header struct {
-	// Version 2 carries GlobalBlocks and the per-rank Blocks id tables;
-	// version 0 (absent, historical) implies a cartesian decomposition of
-	// RankDims ranks with BlockDims blocks each, in the grid's historical
-	// per-rank SFC order.
-	Version   int    `json:"version,omitempty"`
-	BlockSize int    `json:"block_size"`
-	RankDims  [3]int `json:"rank_dims"`
-	BlockDims [3]int `json:"block_dims,omitempty"` // v1: blocks per rank per dimension
-	// GlobalBlocks is the global block box (v2).
-	GlobalBlocks [3]int `json:"global_blocks,omitempty"`
-	// Blocks lists, per writer rank, the canonical linear block ids of its
-	// payload in serialization order (v2).
-	Blocks [][]int64 `json:"blocks,omitempty"`
-	Step   int       `json:"step"`
-	Time   float64   `json:"time"`
-	// Offsets/Sizes locate each rank's zlib-compressed payload.
-	Offsets []int64 `json:"offsets"`
-	Sizes   []int64 `json:"sizes"`
-}
-
-// blockTables returns the global block box and the per-writer-rank
-// canonical block-id tables, deriving them for version-1 files.
-func (hdr *Header) blockTables() ([3]int, [][]int64, error) {
-	if hdr.Version >= 2 {
-		if len(hdr.Blocks) != len(hdr.Offsets) {
-			return [3]int{}, nil, fmt.Errorf("checkpoint: %d block tables for %d ranks", len(hdr.Blocks), len(hdr.Offsets))
-		}
-		return hdr.GlobalBlocks, hdr.Blocks, nil
-	}
-	rd, bd := hdr.RankDims, hdr.BlockDims
-	gb := [3]int{rd[0] * bd[0], rd[1] * bd[1], rd[2] * bd[2]}
-	if rd[0]*rd[1]*rd[2] != len(hdr.Offsets) {
-		return gb, nil, fmt.Errorf("checkpoint: rank grid %v does not match %d payloads", rd, len(hdr.Offsets))
-	}
-	order := sfc.Enumerate(sfc.ForBox(bd[0], bd[1], bd[2]), bd[0], bd[1], bd[2])
-	tables := make([][]int64, len(hdr.Offsets))
-	for r := range tables {
-		rx, ry, rz := r%rd[0], (r/rd[0])%rd[1], r/(rd[0]*rd[1])
-		tbl := make([]int64, len(order))
-		for i, c := range order {
-			x, y, z := rx*bd[0]+c[0], ry*bd[1]+c[1], rz*bd[2]+c[2]
-			tbl[i] = (int64(z)*int64(gb[1])+int64(y))*int64(gb[0]) + int64(x)
-		}
-		tables[r] = tbl
-	}
-	return gb, tables, nil
-}
+// The container header fields that mark a checkpoint. The coder name is
+// one no wavelet decoder accepts, so compress.Decompress refuses the file.
+const (
+	quantity = "state"
+	coder    = "raw32+zlib"
+)
 
 // Write saves the rank-local grid state collectively into path. All ranks
 // must call it with consistent metadata.
 func Write(comm *mpi.Comm, path string, g *grid.Grid, rankDims [3]int, step int, time float64) error {
-	// Serialize this rank's blocks (grid order) bit-exactly, then deflate.
-	var raw bytes.Buffer
-	zw := zlib.NewWriter(&raw)
-	var word [4]byte
-	ids := make([]byte, 8*len(g.Blocks))
-	for bi, b := range g.Blocks {
-		id := (int64(b.Z)*int64(g.NBY)+int64(b.Y))*int64(g.NBX) + int64(b.X)
-		binary.LittleEndian.PutUint64(ids[8*bi:], uint64(id))
+	box := layout.Layout{GB: [3]int{g.NBX, g.NBY, g.NBZ}}
+	c := &compress.Compressed{N: g.N, Blocks: len(g.Blocks), Streams: make([][]byte, len(g.Blocks))}
+	ids := make([]int64, len(g.Blocks))
+	var raw []byte
+	zw := zlib.NewWriter(nil)
+	for i, b := range g.Blocks {
+		ids[i] = box.LinearID([3]int{b.X, b.Y, b.Z})
+		raw = raw[:0]
 		for _, v := range b.Data {
-			binary.LittleEndian.PutUint32(word[:], math.Float32bits(v))
-			if _, err := zw.Write(word[:]); err != nil {
-				return err
-			}
+			raw = binary.LittleEndian.AppendUint32(raw, math.Float32bits(v))
 		}
+		// Deflating into a bytes.Buffer cannot fail, and a rank returning
+		// here would leave the others waiting in the collective write.
+		var out bytes.Buffer
+		zw.Reset(&out)
+		zw.Write(raw)
+		zw.Close()
+		c.Streams[i] = out.Bytes()
 	}
-	if err := zw.Close(); err != nil {
-		return err
+	hdr := dump.Header{
+		Quantity:  quantity,
+		Encoder:   coder,
+		BlockSize: g.N,
+		RankDims:  rankDims,
+		BlockDims: [3]int{g.NBX / rankDims[0], g.NBY / rankDims[1], g.NBZ / rankDims[2]},
+		Step:      step,
+		Time:      time,
 	}
-	payload := raw.Bytes()
-	mySize := int64(len(payload))
-	prefix := comm.Exscan(mySize)
-	sizes := comm.Gather(float64(mySize))
-	idTables := comm.GatherBytesRoot(ids)
-
-	var headerBytes []byte
-	if comm.Rank() == 0 {
-		hdr := Header{
-			Version:      2,
-			BlockSize:    g.N,
-			RankDims:     rankDims,
-			GlobalBlocks: [3]int{g.NBX, g.NBY, g.NBZ},
-			Blocks:       make([][]int64, comm.Size()),
-			Step:         step,
-			Time:         time,
-			Offsets:      make([]int64, comm.Size()),
-			Sizes:        make([]int64, comm.Size()),
-		}
-		for r, raw := range idTables {
-			tbl := make([]int64, len(raw)/8)
-			for i := range tbl {
-				tbl[i] = int64(binary.LittleEndian.Uint64(raw[8*i:]))
-			}
-			hdr.Blocks[r] = tbl
-		}
-		probe, err := json.Marshal(hdr)
-		if err != nil {
-			return err
-		}
-		headerLen := len(probe) + 32*comm.Size()
-		base := int64(len(Magic)) + 4 + int64(headerLen)
-		var off int64
-		for r := range hdr.Offsets {
-			hdr.Sizes[r] = int64(sizes[r])
-			hdr.Offsets[r] = base + off
-			off += hdr.Sizes[r]
-		}
-		body, err := json.Marshal(hdr)
-		if err != nil {
-			return err
-		}
-		if len(body) > headerLen {
-			return fmt.Errorf("checkpoint: header estimate too small")
-		}
-		headerBytes = make([]byte, headerLen)
-		copy(headerBytes, body)
-		for i := len(body); i < headerLen; i++ {
-			headerBytes[i] = ' '
-		}
-	}
-	var myBase float64
-	if comm.Rank() == 0 {
-		myBase = float64(int64(len(Magic)) + 4 + int64(len(headerBytes)))
-	}
-	base := int64(comm.Allreduce(myBase, mpi.MaxOp))
-
-	f, err := mpi.CreateShared(comm, path)
-	if err != nil {
-		return err
-	}
-	if comm.Rank() == 0 {
-		var pre []byte
-		pre = append(pre, Magic...)
-		var lenBuf [4]byte
-		binary.LittleEndian.PutUint32(lenBuf[:], uint32(len(headerBytes)))
-		pre = append(pre, lenBuf[:]...)
-		pre = append(pre, headerBytes...)
-		if _, err := f.WriteAt(pre, 0); err != nil {
-			return err
-		}
-	}
-	if len(payload) > 0 {
-		if _, err := f.WriteAt(payload, base+prefix); err != nil {
-			return err
-		}
-	}
-	comm.Barrier()
-	return f.Close()
-}
-
-// ReadHeader parses the checkpoint metadata.
-func ReadHeader(path string) (Header, error) {
-	var hdr Header
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return hdr, err
-	}
-	if len(data) < len(Magic)+4 || string(data[:len(Magic)]) != Magic {
-		return hdr, fmt.Errorf("checkpoint: %s: bad magic", path)
-	}
-	hlen := int(binary.LittleEndian.Uint32(data[len(Magic):]))
-	hstart := len(Magic) + 4
-	if hstart+hlen > len(data) {
-		return hdr, fmt.Errorf("checkpoint: %s: truncated header", path)
-	}
-	body := bytes.TrimRight(data[hstart:hstart+hlen], " ")
-	if err := json.Unmarshal(body, &hdr); err != nil {
-		return hdr, fmt.Errorf("checkpoint: %s: %v", path, err)
-	}
-	return hdr, nil
+	_, err := dump.WriteCollective(comm, path, hdr, c, ids)
+	return err
 }
 
 // Restore loads the state of the blocks g owns from the checkpoint. The
 // block size and global block box must match the file; the layout and rank
-// count are free — each block is fetched from whichever writer payload
-// holds it, by canonical id. Decompressed writer payloads are cached for
-// the duration of the call, so restores that shuffle blocks across ranks
-// cost at most one inflate per touched writer payload.
-func Restore(path string, rank int, g *grid.Grid) (step int, simTime float64, err error) {
-	hdr, err := ReadHeader(path)
+// count are free — each block is inflated from whichever writer payload
+// holds it, by canonical id.
+func Restore(path string, g *grid.Grid) (step int, simTime float64, err error) {
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return 0, 0, err
 	}
-	gb, tables, err := hdr.blockTables()
+	if step, simTime, err = restore(data, g); err != nil {
+		return 0, 0, fmt.Errorf("checkpoint: %s: %v", path, err)
+	}
+	return step, simTime, nil
+}
+
+// restore decodes a checkpoint image into g. Every header field is
+// untrusted: a corrupt or hostile file fails with an error, never a panic.
+func restore(data []byte, g *grid.Grid) (int, float64, error) {
+	if bytes.HasPrefix(data, []byte("MPCFCkp1")) {
+		return 0, 0, fmt.Errorf("retired MPCFCkp1 checkpoint format, no longer readable")
+	}
+	hdr, ranks, err := dump.Decode(data)
 	if err != nil {
 		return 0, 0, err
 	}
-	if hdr.BlockSize != g.N || gb != [3]int{g.NBX, g.NBY, g.NBZ} {
-		return 0, 0, fmt.Errorf("checkpoint: geometry mismatch: file %dx%v, grid %dx%v",
-			hdr.BlockSize, gb, g.N, [3]int{g.NBX, g.NBY, g.NBZ})
+	if hdr.Quantity != quantity || hdr.Encoder != coder {
+		return 0, 0, fmt.Errorf("not a checkpoint: quantity %q, coder %q", hdr.Quantity, hdr.Encoder)
+	}
+	box := layout.Layout{GB: [3]int{g.NBX, g.NBY, g.NBZ}}
+	rd, bd := hdr.RankDims, hdr.BlockDims
+	if hdr.BlockSize != g.N || [3]int{rd[0] * bd[0], rd[1] * bd[1], rd[2] * bd[2]} != box.GB {
+		return 0, 0, fmt.Errorf("geometry mismatch: file %dx%v·%v, grid %dx%v", hdr.BlockSize, rd, bd, g.N, box.GB)
 	}
 	// Locate every global block: id → (writer rank, ordinal).
 	type loc struct{ rank, ord int }
 	where := make(map[int64]loc)
-	for r, tbl := range tables {
-		for ord, id := range tbl {
+	for r, re := range hdr.Ranks {
+		if re.Blocks != len(re.BlockIDs) || re.Blocks != len(ranks[r].Streams) {
+			return 0, 0, fmt.Errorf("rank %d: %d blocks, %d ids, %d streams", r, re.Blocks, len(re.BlockIDs), len(ranks[r].Streams))
+		}
+		for ord, id := range re.BlockIDs {
+			if id < 0 || id >= int64(box.TotalBlocks()) {
+				return 0, 0, fmt.Errorf("rank %d: block id %d outside the box %v", r, id, box.GB)
+			}
+			if _, dup := where[id]; dup {
+				return 0, 0, fmt.Errorf("rank %d: block id %d duplicated", r, id)
+			}
 			where[id] = loc{r, ord}
 		}
 	}
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, 0, err
-	}
-	defer f.Close()
-	inflated := make(map[int][]byte)
-	payloadOf := func(r int) ([]byte, error) {
-		if p, ok := inflated[r]; ok {
-			return p, nil
-		}
-		raw := make([]byte, hdr.Sizes[r])
-		if _, err := f.ReadAt(raw, hdr.Offsets[r]); err != nil {
-			return nil, err
-		}
-		zr, err := zlib.NewReader(bytes.NewReader(raw))
-		if err != nil {
-			return nil, err
-		}
-		defer zr.Close()
-		p, err := io.ReadAll(zr)
-		if err != nil {
-			return nil, fmt.Errorf("checkpoint: short payload: %v", err)
-		}
-		inflated[r] = p
-		return p, nil
-	}
+	var zr io.ReadCloser
+	var raw bytes.Buffer
 	for _, b := range g.Blocks {
-		id := (int64(b.Z)*int64(g.NBY)+int64(b.Y))*int64(g.NBX) + int64(b.X)
+		id := box.LinearID([3]int{b.X, b.Y, b.Z})
 		l, ok := where[id]
 		if !ok {
-			return 0, 0, fmt.Errorf("checkpoint: block %d missing from %s", id, path)
+			return 0, 0, fmt.Errorf("block %d missing", id)
 		}
-		p, err := payloadOf(l.rank)
+		stream := bytes.NewReader(ranks[l.rank].Streams[l.ord])
+		if zr == nil {
+			zr, err = zlib.NewReader(stream)
+		} else {
+			err = zr.(zlib.Resetter).Reset(stream, nil)
+		}
 		if err != nil {
-			return 0, 0, err
+			return 0, 0, fmt.Errorf("block %d: %v", id, err)
 		}
-		blockBytes := 4 * len(b.Data)
-		off := l.ord * blockBytes
-		if off+blockBytes > len(p) {
-			return 0, 0, fmt.Errorf("checkpoint: rank %d payload truncated at block %d", l.rank, id)
+		// Read one byte past the block so an oversized stream is caught
+		// without inflating all of it.
+		want := 4 * len(b.Data)
+		raw.Reset()
+		if _, err := raw.ReadFrom(io.LimitReader(zr, int64(want)+1)); err != nil {
+			return 0, 0, fmt.Errorf("block %d: %v", id, err)
 		}
+		if raw.Len() != want {
+			return 0, 0, fmt.Errorf("block %d: %d bytes inflated, want %d", id, raw.Len(), want)
+		}
+		p := raw.Bytes()
 		for i := range b.Data {
-			b.Data[i] = math.Float32frombits(binary.LittleEndian.Uint32(p[off+4*i:]))
+			b.Data[i] = math.Float32frombits(binary.LittleEndian.Uint32(p[4*i:]))
 		}
 	}
 	return hdr.Step, hdr.Time, nil

@@ -5,13 +5,15 @@ import (
 	"compress/zlib"
 	"encoding/binary"
 	"encoding/json"
-	"math"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
 	"cubism/internal/checkpoint"
 	"cubism/internal/cluster"
+	"cubism/internal/dump"
 	"cubism/internal/grid"
 	"cubism/internal/mpi"
 	"cubism/internal/physics"
@@ -97,22 +99,49 @@ func TestRestartBitExact(t *testing.T) {
 	})
 }
 
+// TestHeaderRoundTrip: a checkpoint is a dump container — dump.Read parses
+// it, the header carries the state quantity, step and time, each writer
+// rank holds one stream per block under its layout's canonical ids, and the
+// wavelet decoder refuses it with an error.
 func TestHeaderRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "h.ckp")
-	world := mpi.NewWorld(1)
+	c := cfg()
+	c.BlockDims = [3]int{1, 2, 2}
+	c.Layout = "hilbert"
+	ids := make([][]int64, 2)
+	world := mpi.NewWorld(2)
 	world.Run(func(comm *mpi.Comm) {
-		g := grid.New(grid.Desc{N: 8, NBX: 1, NBY: 1, NBZ: 1, H: 0.125})
-		if err := checkpoint.Write(comm, path, g, [3]int{1, 1, 1}, 17, 3.5e-4); err != nil {
+		r := cluster.NewRank(comm, c)
+		defer r.Close()
+		for _, b := range r.G.Blocks {
+			ids[comm.Rank()] = append(ids[comm.Rank()], r.Layout.LinearID([3]int{b.X, b.Y, b.Z}))
+		}
+		r.Step, r.Time = 17, 3.5e-4
+		if err := r.SaveCheckpoint(path); err != nil {
 			t.Error(err)
 		}
 	})
-	hdr, err := checkpoint.ReadHeader(path)
+	hdr, ranks, err := dump.Read(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hdr.Step != 17 || hdr.Time != 3.5e-4 || hdr.BlockSize != 8 {
+	if hdr.Quantity != "state" || hdr.Step != 17 || hdr.Time != 3.5e-4 || hdr.BlockSize != 8 {
 		t.Errorf("header %+v", hdr)
+	}
+	if len(ranks) != 2 {
+		t.Fatalf("%d writer ranks, want 2", len(ranks))
+	}
+	for r, comp := range ranks {
+		if len(comp.Streams) != len(ids[r]) || comp.Blocks != len(ids[r]) {
+			t.Errorf("rank %d: %d streams for %d blocks, want one per block", r, len(comp.Streams), len(ids[r]))
+		}
+		if !slices.Equal(hdr.Ranks[r].BlockIDs, ids[r]) {
+			t.Errorf("rank %d ids %v, writer's LinearIDs %v", r, hdr.Ranks[r].BlockIDs, ids[r])
+		}
+		if _, err := comp.Decompress(); err == nil {
+			t.Errorf("rank %d: compress.Decompress accepted a checkpoint payload", r)
+		}
 	}
 }
 
@@ -225,83 +254,49 @@ func TestRestoreGeometryMismatch(t *testing.T) {
 		}
 	})
 	other := grid.New(grid.Desc{N: 8, NBX: 2, NBY: 1, NBZ: 1, H: 0.125})
-	if _, _, err := checkpoint.Restore(path, 0, other); err == nil {
+	if _, _, err := checkpoint.Restore(path, other); err == nil {
 		t.Error("expected geometry mismatch error")
 	}
 }
 
-// TestRestoreV1File: version-1 checkpoints (no block-id tables; implied
-// cartesian decomposition) must still restore. The file is crafted by hand
-// in the historical format: blocks in per-rank SFC order.
+// TestRestoreV1File: a file in the retired MPCFCkp1 format (here a
+// hand-made version-1 file) is refused with an error naming the format,
+// not restored and never a panic.
 func TestRestoreV1File(t *testing.T) {
 	const n = 8
+	const legacyMagic = "MPCFCkp1"
 	dir := t.TempDir()
 	path := filepath.Join(dir, "v1.ckp")
 
-	// One writer rank with 2x1x1 blocks of edge 4; ForBox(2,1,1) enumerates
-	// row-major: (0,0,0), (1,0,0).
-	per := n * n * n * physics.NQ
-	blockVal := func(bx int, i int) float32 { return float32(bx*1000 + i) }
+	// One writer rank with 2x1x1 blocks in the historical layout: one zlib
+	// stream of every block's float32 bits after a padded JSON header.
 	var raw bytes.Buffer
 	zw := zlib.NewWriter(&raw)
-	var word [4]byte
-	for bx := 0; bx < 2; bx++ {
-		for i := 0; i < per; i++ {
-			binary.LittleEndian.PutUint32(word[:], math.Float32bits(blockVal(bx, i)))
-			zw.Write(word[:])
-		}
-	}
+	zw.Write(make([]byte, 2*n*n*n*physics.NQ*4))
 	zw.Close()
-	payload := raw.Bytes()
-
-	hdr := map[string]any{
+	body, err := json.Marshal(map[string]any{
 		"block_size": n,
 		"rank_dims":  [3]int{1, 1, 1},
 		"block_dims": [3]int{2, 1, 1},
 		"step":       7,
 		"time":       0.5,
-		"offsets":    []int64{0}, // fixed up below
-		"sizes":      []int64{int64(len(payload))},
-	}
-	// The offset depends on the header length, which depends on the offset
-	// digits: iterate the fixup until the encoding is stable.
-	var body []byte
-	for {
-		b, err := json.Marshal(hdr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		base := int64(len(checkpoint.Magic)) + 4 + int64(len(b))
-		if hdr["offsets"].([]int64)[0] == base {
-			body = b
-			break
-		}
-		hdr["offsets"] = []int64{base}
+		"offsets":    []int64{0}, // refused before any offset is read
+		"sizes":      []int64{int64(raw.Len())},
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	var file bytes.Buffer
-	file.WriteString(checkpoint.Magic)
-	var lenBuf [4]byte
-	binary.LittleEndian.PutUint32(lenBuf[:], uint32(len(body)))
-	file.Write(lenBuf[:])
+	file.WriteString(legacyMagic)
+	binary.Write(&file, binary.LittleEndian, uint32(len(body)))
 	file.Write(body)
-	file.Write(payload)
+	file.Write(raw.Bytes())
 	if err := os.WriteFile(path, file.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
 	g := grid.New(grid.Desc{N: n, NBX: 2, NBY: 1, NBZ: 1, H: 0.125})
-	step, simTime, err := checkpoint.Restore(path, 0, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if step != 7 || simTime != 0.5 {
-		t.Errorf("restored (step, time) = (%d, %v), want (7, 0.5)", step, simTime)
-	}
-	for _, b := range g.Blocks {
-		for i, v := range b.Data {
-			if want := blockVal(b.X, i); v != want {
-				t.Fatalf("block x=%d elem %d: %v, want %v", b.X, i, v, want)
-			}
-		}
+	if _, _, err := checkpoint.Restore(path, g); err == nil || !strings.Contains(err.Error(), legacyMagic) {
+		t.Fatalf("legacy file: err = %v, want a refusal naming %s", err, legacyMagic)
 	}
 }

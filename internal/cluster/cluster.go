@@ -649,7 +649,7 @@ func (r *Rank) SaveCheckpoint(path string) error {
 // and rank count may differ from the writing run — each rank pulls exactly
 // the blocks it owns out of the file (see checkpoint.Restore).
 func (r *Rank) RestoreCheckpoint(path string) error {
-	step, simTime, err := checkpoint.Restore(path, r.Comm.Rank(), r.G)
+	step, simTime, err := checkpoint.Restore(path, r.G)
 	if err != nil {
 		return err
 	}

@@ -10,11 +10,15 @@
 //	magic "MPCFDmp1" | header length (uint32) | JSON header | rank payloads
 //
 // The JSON header records the global geometry, compression parameters and
-// the per-rank (offset, size, blocks) table, so the file is self-describing
-// and single-process tools can decompress any subset of ranks.
+// the per-rank (offset, size, streams, block ids) table, so the file is
+// self-describing and single-process tools can decompress any subset of
+// ranks. The same container carries streamed frames (StreamCollective) and
+// full-state checkpoints (internal/checkpoint); only the quantity and coder
+// in the header differ.
 package dump
 
 import (
+	"cmp"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -27,7 +31,9 @@ import (
 // Magic identifies dump files.
 const Magic = "MPCFDmp1"
 
-// RankEntry locates one rank's payload in the file.
+// RankEntry locates one rank's payload in the file. It is also the
+// per-rank record every rank ships to rank 0 (offset unset) when a file or
+// frame is laid out.
 type RankEntry struct {
 	Offset  int64 `json:"offset"`
 	Size    int64 `json:"size"`
@@ -53,6 +59,20 @@ type Header struct {
 	Ranks     []RankEntry `json:"ranks"`
 }
 
+// record flattens this rank's streams into one payload and describes it as
+// the rank's header entry (offset unset) — the one per-rank record both the
+// file writer and the frame stream ship to rank 0.
+func record(c *compress.Compressed, blockIDs []int64) (RankEntry, []byte) {
+	e := RankEntry{Blocks: c.Blocks, Streams: make([]int, len(c.Streams)), BlockIDs: blockIDs}
+	var payload []byte
+	for i, s := range c.Streams {
+		e.Streams[i] = len(s)
+		payload = append(payload, s...)
+	}
+	e.Size = int64(len(payload))
+	return e, payload
+}
+
 // WriteCollective writes one quantity's compressed payload from every rank
 // into a single shared file. blockIDs (optional, may be nil) lists the
 // canonical linear ids of this rank's blocks in payload order; when given,
@@ -60,82 +80,41 @@ type Header struct {
 // global field under any layout. All ranks must call it; returns the number
 // of payload bytes this rank wrote.
 func WriteCollective(comm *mpi.Comm, path string, hdr Header, c *compress.Compressed, blockIDs []int64) (int64, error) {
-	// Flatten this rank's streams.
-	var payload []byte
-	streams := make([]int, len(c.Streams))
-	for i, s := range c.Streams {
-		streams[i] = len(s)
-		payload = append(payload, s...)
-	}
-	mySize := int64(len(payload))
-
+	entry, payload := record(c, blockIDs)
 	// Exclusive prefix sum assigns contiguous regions in rank order.
-	prefix := comm.Exscan(mySize)
-
-	// Rank 0 lays out the header; its size must be known to every rank, so
-	// the header is built collectively: gather sizes and stream counts.
-	sizes := comm.Gather(float64(mySize))
-	blockCounts := comm.Gather(float64(c.Blocks))
-	streamsFlat := comm.Gather(float64(len(streams)))
-
-	// The per-rank stream-size tables (and, when present, block-id tables)
-	// are exchanged point-to-point to rank 0. The id tables ride stream
-	// channel 5, above the net-bench channels 1..4.
-	tagStreams := mpi.TagStream(0)
-	tagIDs := mpi.TagStream(5)
-	if comm.Rank() != 0 {
-		data := make([]int64, len(streams))
-		for i, s := range streams {
-			data[i] = int64(s)
-		}
-		comm.SendInts(0, tagStreams, data)
-		if blockIDs != nil {
-			comm.SendInts(0, tagIDs, blockIDs)
-		}
-	}
-
-	var headerBytes []byte
+	prefix := comm.Exscan(entry.Size)
+	// Rank 0 lays out the header from every rank's record and shares the
+	// payload base offset: its length, or -1 when it failed to build it.
+	meta, _ := json.Marshal(entry) // a struct of ints cannot fail to marshal
+	metas := comm.GatherBytesRoot(meta)
+	var head []byte
+	var herr error
 	if comm.Rank() == 0 {
-		entries := make([]RankEntry, comm.Size())
-		entries[0] = RankEntry{Size: mySize, Blocks: c.Blocks, Streams: streams, BlockIDs: blockIDs}
-		for r := 1; r < comm.Size(); r++ {
-			data := comm.RecvInts(r, tagStreams)
-			tbl := make([]int, int(streamsFlat[r]))
-			for i := range tbl {
-				tbl[i] = int(data[i])
-			}
-			entries[r] = RankEntry{Size: int64(sizes[r]), Blocks: int(blockCounts[r]), Streams: tbl}
-			if blockIDs != nil {
-				entries[r].BlockIDs = comm.RecvInts(r, tagIDs)
+		entries := make([]RankEntry, len(metas))
+		for r, m := range metas {
+			if err := json.Unmarshal(m, &entries[r]); err != nil {
+				herr = fmt.Errorf("dump: rank %d record: %v", r, err)
 			}
 		}
-		var err error
-		headerBytes, err = buildHeader(&hdr, entries)
-		if err != nil {
-			return 0, err
+		if herr == nil {
+			head, herr = buildHeader(&hdr, entries)
 		}
 	}
-
-	// Every rank needs the payload base offset; rank 0 broadcasts it via
-	// an allreduce (all other ranks contribute 0).
-	var myBase float64
-	if comm.Rank() == 0 {
-		myBase = float64(int64(len(Magic)) + 4 + int64(len(headerBytes)))
+	mine := float64(len(head))
+	if herr != nil {
+		mine = -1
 	}
-	base := int64(comm.Allreduce(myBase, mpi.MaxOp))
+	base := int64(comm.Allreduce(mine, mpi.SumOp))
+	if base < 0 {
+		return 0, cmp.Or(herr, fmt.Errorf("dump: rank 0 could not lay out the header of %s", path))
+	}
 
 	f, err := mpi.CreateShared(comm, path)
 	if err != nil {
 		return 0, err
 	}
 	if comm.Rank() == 0 {
-		var pre []byte
-		pre = append(pre, Magic...)
-		var lenBuf [4]byte
-		binary.LittleEndian.PutUint32(lenBuf[:], uint32(len(headerBytes)))
-		pre = append(pre, lenBuf[:]...)
-		pre = append(pre, headerBytes...)
-		if _, err := f.WriteAt(pre, 0); err != nil {
+		if _, err := f.WriteAt(head, 0); err != nil {
 			return 0, err
 		}
 	}
@@ -147,13 +126,13 @@ func WriteCollective(comm *mpi.Comm, path string, hdr Header, c *compress.Compre
 	// Ensure all writes land before any rank proceeds (and the file can be
 	// closed/read).
 	comm.Barrier()
-	return mySize, f.Close()
+	return entry.Size, f.Close()
 }
 
-// buildHeader lays out the padded fixed-size header from the per-rank
-// entries (offsets are assigned here). Extracted from the collective writer
-// so the frame-streaming sink produces byte-identical headers — the bitwise
-// file≡frame contract rests on this being the only header serializer.
+// buildHeader lays out the file prefix — magic, header length and the
+// padded fixed-size JSON header — from the per-rank entries (offsets are
+// assigned here). It is the only header serializer, which is what makes a
+// streamed frame bitwise identical to the file.
 func buildHeader(hdr *Header, entries []RankEntry) ([]byte, error) {
 	hdr.Ranks = entries
 	// Two passes: encode with zero offsets to learn the header length,
@@ -164,10 +143,10 @@ func buildHeader(hdr *Header, entries []RankEntry) ([]byte, error) {
 	}
 	// Reserve room for offset digits growing after assignment.
 	headerLen := len(probe) + 32*len(entries)
-	base := int64(len(Magic)) + 4 + int64(headerLen)
-	var off int64
+	start := len(Magic) + 4
+	off := int64(start + headerLen)
 	for r := range hdr.Ranks {
-		hdr.Ranks[r].Offset = base + off
+		hdr.Ranks[r].Offset = off
 		off += hdr.Ranks[r].Size
 	}
 	body, err := json.Marshal(hdr)
@@ -177,12 +156,13 @@ func buildHeader(hdr *Header, entries []RankEntry) ([]byte, error) {
 	if len(body) > headerLen {
 		return nil, fmt.Errorf("dump: header length estimate too small (%d > %d)", len(body), headerLen)
 	}
-	headerBytes := make([]byte, headerLen)
-	copy(headerBytes, body)
-	for i := len(body); i < headerLen; i++ {
-		headerBytes[i] = ' '
+	head := make([]byte, start+headerLen)
+	copy(head, Magic)
+	binary.LittleEndian.PutUint32(head[len(Magic):], uint32(headerLen))
+	for i := start + copy(head[start:], body); i < len(head); i++ {
+		head[i] = ' '
 	}
-	return headerBytes, nil
+	return head, nil
 }
 
 // Read opens a dump file and returns its header and the per-rank compressed

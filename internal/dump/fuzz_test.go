@@ -2,7 +2,6 @@ package dump
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -40,16 +39,10 @@ func validFrameImage(tb testing.TB, encoder string) []byte {
 		Quantity: "p", Encoder: encoder, Epsilon: 1e-3, BlockSize: 8,
 		RankDims: [3]int{2, 1, 1}, BlockDims: [3]int{1, 1, 1}, Step: 1, Time: 1e-4,
 	}
-	headerBytes, err := buildHeader(&hdr, entries)
+	data, err := buildHeader(&hdr, entries)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	var data []byte
-	data = append(data, Magic...)
-	var lenBuf [4]byte
-	binary.LittleEndian.PutUint32(lenBuf[:], uint32(len(headerBytes)))
-	data = append(data, lenBuf[:]...)
-	data = append(data, headerBytes...)
 	for _, p := range payloads {
 		data = append(data, p...)
 	}

@@ -1,7 +1,6 @@
 package dump
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 
@@ -36,19 +35,16 @@ type FrameRecord struct {
 	Data     []byte  `json:"data"`
 }
 
-// streamMeta is the per-rank metadata message of a streamed frame.
-type streamMeta struct {
-	Size     int64   `json:"size"`
-	Blocks   int     `json:"blocks"`
-	Streams  []int   `json:"streams"`
-	BlockIDs []int64 `json:"block_ids,omitempty"`
-	Chunks   int     `json:"chunks"`
-}
-
 // streamChunkSize is the target payload chunk size on the wire. Chunks grow
 // past it only when a payload would otherwise exceed mpi.MaxDumpParts
 // messages.
 const streamChunkSize = 256 << 10
+
+// chunkSize is the wire chunk size of an n-byte payload; sender and sink
+// both derive it from the size in the rank's record.
+func chunkSize(n int) int {
+	return max(streamChunkSize, (n+mpi.MaxDumpParts-1)/mpi.MaxDumpParts)
+}
 
 // StreamCollective ships one quantity's compressed payload from every rank
 // to the sink rank (rank 0) over the dedicated TagDump channel, where the
@@ -57,75 +53,48 @@ const streamChunkSize = 256 << 10
 // successive frames on distinct tags). sink runs only on rank 0 and may be
 // nil there (the frame is then assembled and dropped, keeping the network
 // work identical). Returns the number of frame bytes this rank handled:
-// metadata+payload sent for nonzero ranks, the assembled frame size for the
+// record+payload sent for nonzero ranks, the assembled frame size for the
 // sink.
 func StreamCollective(comm *mpi.Comm, seq int, hdr Header, c *compress.Compressed, blockIDs []int64, sink FrameSink) (int64, error) {
-	var payload []byte
-	streams := make([]int, len(c.Streams))
-	for i, s := range c.Streams {
-		streams[i] = len(s)
-		payload = append(payload, s...)
-	}
-	chunk := streamChunkSize
-	if len(payload) > chunk*mpi.MaxDumpParts {
-		chunk = (len(payload) + mpi.MaxDumpParts - 1) / mpi.MaxDumpParts
-	}
-	chunks := (len(payload) + chunk - 1) / chunk
+	entry, payload := record(c, blockIDs)
 
 	if comm.Rank() != 0 {
-		meta, err := json.Marshal(streamMeta{
-			Size: int64(len(payload)), Blocks: c.Blocks, Streams: streams,
-			BlockIDs: blockIDs, Chunks: chunks,
-		})
-		if err != nil {
-			return 0, err
-		}
+		meta, _ := json.Marshal(entry) // a struct of ints cannot fail to marshal
 		comm.SendBytes(0, mpi.TagDump(seq, 0), meta)
-		sent := int64(len(meta))
-		for p := 0; p < chunks; p++ {
-			lo := p * chunk
-			hi := min(lo+chunk, len(payload))
-			comm.SendBytes(0, mpi.TagDump(seq, p+1), payload[lo:hi])
-			sent += int64(hi - lo)
+		chunk := chunkSize(len(payload))
+		for p, lo := 1, 0; lo < len(payload); p, lo = p+1, lo+chunk {
+			comm.SendBytes(0, mpi.TagDump(seq, p), payload[lo:min(lo+chunk, len(payload))])
 		}
-		return sent, nil
+		return int64(len(meta) + len(payload)), nil
 	}
 
-	// Sink: collect every rank's metadata and payload in rank order, then
+	// Sink: collect every rank's record and payload in rank order, then
 	// lay out the file image exactly like the collective writer.
 	entries := make([]RankEntry, comm.Size())
-	entries[0] = RankEntry{Size: int64(len(payload)), Blocks: c.Blocks, Streams: streams, BlockIDs: blockIDs}
 	payloads := make([][]byte, comm.Size())
-	payloads[0] = payload
+	entries[0], payloads[0] = entry, payload
+	total := entry.Size
 	for r := 1; r < comm.Size(); r++ {
-		var meta streamMeta
-		if err := json.Unmarshal(comm.RecvBytes(r, mpi.TagDump(seq, 0)), &meta); err != nil {
-			return 0, fmt.Errorf("dump: rank %d frame metadata: %v", r, err)
+		e := &entries[r]
+		if err := json.Unmarshal(comm.RecvBytes(r, mpi.TagDump(seq, 0)), e); err != nil {
+			return 0, fmt.Errorf("dump: rank %d frame record: %v", r, err)
 		}
-		entries[r] = RankEntry{Size: meta.Size, Blocks: meta.Blocks, Streams: meta.Streams, BlockIDs: meta.BlockIDs}
-		buf := make([]byte, 0, meta.Size)
-		for p := 0; p < meta.Chunks; p++ {
-			buf = append(buf, comm.RecvBytes(r, mpi.TagDump(seq, p+1))...)
+		buf := make([]byte, 0, e.Size)
+		chunk := int64(chunkSize(int(e.Size)))
+		for p, lo := 1, int64(0); lo < e.Size; p, lo = p+1, lo+chunk {
+			buf = append(buf, comm.RecvBytes(r, mpi.TagDump(seq, p))...)
 		}
-		if int64(len(buf)) != meta.Size {
-			return 0, fmt.Errorf("dump: rank %d frame payload %d bytes, metadata says %d", r, len(buf), meta.Size)
+		if int64(len(buf)) != e.Size {
+			return 0, fmt.Errorf("dump: rank %d frame payload %d bytes, record says %d", r, len(buf), e.Size)
 		}
 		payloads[r] = buf
+		total += e.Size
 	}
-	headerBytes, err := buildHeader(&hdr, entries)
+	head, err := buildHeader(&hdr, entries)
 	if err != nil {
 		return 0, err
 	}
-	var total int64 = int64(len(Magic)) + 4 + int64(len(headerBytes))
-	for _, p := range payloads {
-		total += int64(len(p))
-	}
-	data := make([]byte, 0, total)
-	data = append(data, Magic...)
-	var lenBuf [4]byte
-	binary.LittleEndian.PutUint32(lenBuf[:], uint32(len(headerBytes)))
-	data = append(data, lenBuf[:]...)
-	data = append(data, headerBytes...)
+	data := append(make([]byte, 0, int64(len(head))+total), head...)
 	for _, p := range payloads {
 		data = append(data, p...)
 	}

@@ -57,13 +57,8 @@ type Layout struct {
 // layout; "hilbert", "morton" and "rowmajor" yield SFC layouts with uniform
 // cut points. nranks must equal the RankDims product.
 func New(name string, rankDims, blockDims [3]int, nranks int, periodic [3]bool) (*Layout, error) {
-	for a := 0; a < 3; a++ {
-		if rankDims[a] <= 0 || blockDims[a] <= 0 {
-			return nil, fmt.Errorf("layout: invalid dims (ranks %v, blocks %v)", rankDims, blockDims)
-		}
-	}
-	if want := rankDims[0] * rankDims[1] * rankDims[2]; want != nranks {
-		return nil, fmt.Errorf("layout: rank dims %v incompatible with world size %d", rankDims, nranks)
+	if err := Check(name, rankDims, blockDims, nranks); err != nil {
+		return nil, err
 	}
 	gb := [3]int{rankDims[0] * blockDims[0], rankDims[1] * blockDims[1], rankDims[2] * blockDims[2]}
 	l := &Layout{
@@ -96,8 +91,6 @@ func New(name string, rankDims, blockDims [3]int, nranks int, periodic [3]bool) 
 		}
 	case "rowmajor":
 		l.curve = sfc.RowMajor{NX: gb[0], NY: gb[1], NZ: gb[2]}
-	default:
-		return nil, fmt.Errorf("layout: unknown layout %q (want cartesian, hilbert, morton or rowmajor)", name)
 	}
 	l.order = sfc.Enumerate(l.curve, gb[0], gb[1], gb[2])
 	l.pos = make(map[[3]int]int, len(l.order))
@@ -106,6 +99,24 @@ func New(name string, rankDims, blockDims [3]int, nranks int, periodic [3]bool) 
 	}
 	l.Cuts = sfc.Partition(l.curve, gb[0], gb[1], gb[2], nranks)
 	return l, nil
+}
+
+// Check reports the error New would return for these arguments without
+// building the layout (an SFC layout enumerates its whole global box).
+func Check(name string, rankDims, blockDims [3]int, nranks int) error {
+	for a := 0; a < 3; a++ {
+		if rankDims[a] <= 0 || blockDims[a] <= 0 {
+			return fmt.Errorf("layout: invalid dims (ranks %v, blocks %v)", rankDims, blockDims)
+		}
+	}
+	if want := rankDims[0] * rankDims[1] * rankDims[2]; want != nranks {
+		return fmt.Errorf("layout: rank dims %v incompatible with world size %d", rankDims, nranks)
+	}
+	switch name {
+	case "", Cartesian, "hilbert", "morton", "rowmajor":
+		return nil
+	}
+	return fmt.Errorf("layout: unknown layout %q (want cartesian, hilbert, morton or rowmajor)", name)
 }
 
 // MustNew is New for statically valid configurations.

@@ -16,7 +16,7 @@ import (
 //
 //	ghost:   0x01 | stage | face  (stage in bits 8..15, face in bits 0..7)
 //	coll:    0x02 | seq&0xFFFF    (per-rank collective sequence number)
-//	stream:  0x03 | n             (dump stream channel n)
+//	stream:  0x03 | n             (side channel n: net benchmark, observatory)
 //	ghostB:  0x04 | block | face | stage  (per-block halo messages of the
 //	         layout-general exchange: block id in bits 5..23, face in bits
 //	         2..4, RK stage in bits 0..1)
@@ -83,7 +83,8 @@ func TagDump(seq, part int) int {
 	return classDump | (seq&0xFFFF)<<8 | part
 }
 
-// TagStream returns the tag for dump stream channel n.
+// TagStream returns the tag for point-to-point side channel n (the net
+// benchmark uses 1..4, the observatory its own range).
 func TagStream(n int) int {
 	if n < 0 || n > 0xFFFF {
 		panic(fmt.Sprintf("mpi: stream tag out of range (%d)", n))
@@ -96,7 +97,7 @@ func TagStream(n int) int {
 func TagColl(seq uint64) int { return classColl | int(seq&0xFFFF) }
 
 // Observatory channels sit at the top of the stream namespace, far above
-// the dump stream (channel 0) and the net-bench channels (1..4): telemetry
+// the net-bench channels (1..4): telemetry
 // batches ride one channel, and the clock-sync ping-pong uses one channel
 // pair per sample index so a sync burst never reuses a (dst, tag) pair
 // within a tag epoch.

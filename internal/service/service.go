@@ -594,25 +594,21 @@ func (j *Job) installCancel(cancel func(reason string)) {
 // controller stop as the cancel hook. Returns whether the run was stopped
 // gracefully.
 func (s *Service) runInproc(j *Job) (stopped bool, err error) {
-	c, err := scenario.Build(j.Spec.Scenario, j.Spec.ScenarioParams())
+	c, err := j.Spec.Case()
 	if err != nil {
 		return false, err
 	}
 	cfg := c.Config
-	cfg.Cluster.Layout = j.Spec.Params.Layout
 	ctl := sim.NewController()
 	cfg.Control = ctl
 	cfg.StopCheckpoint = true
 	cfg.CheckpointPath = filepath.Join(j.Dir, "checkpoint.ckp")
 	cfg.RestorePath = j.restore // resume a requeued drained job's work
-	if j.Spec.Params.DumpEvery > 0 {
+	if cfg.DumpEvery > 0 {
 		// Frames land in the artifact directory AND on the event stream:
 		// the sink runs on the world's rank 0 goroutine with the assembled
 		// dump-file image, bitwise identical to the file beside it.
-		cfg.DumpEvery = j.Spec.Params.DumpEvery
 		cfg.DumpDir = j.Dir
-		cfg.Encoder = j.Spec.Params.Encoder
-		cfg.StreamFrames = true
 		cfg.FrameSink = func(f dump.Frame) error {
 			j.emitFrame(f)
 			return nil
@@ -646,7 +642,7 @@ func (s *Service) runFleet(j *Job) (stopped bool, err error) {
 	// Resolve the scenario defaults locally so the fleet flags pin every
 	// parameter explicitly — an in-process job and a fleet job of the same
 	// spec must run the identical case.
-	c, err := scenario.Build(j.Spec.Scenario, j.Spec.ScenarioParams())
+	c, err := j.Spec.Case()
 	if err != nil {
 		return false, err
 	}

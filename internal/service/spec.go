@@ -17,6 +17,7 @@ import (
 	"strings"
 
 	"cubism/internal/scenario"
+	"cubism/internal/sim"
 )
 
 // SpecParams are the scenario parameter overrides a job may carry; zero
@@ -28,7 +29,8 @@ type SpecParams struct {
 	Ranks [3]int `json:"ranks,omitempty"`
 	// Blocks is the per-rank block grid.
 	Blocks [3]int `json:"blocks,omitempty"`
-	// BlockSize is the block edge in cells (multiple of 4, at least 8).
+	// BlockSize is the block edge in cells, in [8, 64] (a power of two
+	// when the job dumps).
 	BlockSize int `json:"block_size,omitempty"`
 	// Steps bounds the run.
 	Steps int `json:"steps,omitempty"`
@@ -182,8 +184,8 @@ func (s *JobSpec) Validate() error {
 	if !validTriple(p.Blocks, 64) {
 		return fmt.Errorf("blocks %v must be all zero or each in [1, 64]", p.Blocks)
 	}
-	if p.BlockSize != 0 && (p.BlockSize < 8 || p.BlockSize > 64 || p.BlockSize%4 != 0) {
-		return fmt.Errorf("block_size %d must be a multiple of 4 in [8, 64]", p.BlockSize)
+	if p.BlockSize != 0 && (p.BlockSize < 8 || p.BlockSize > 64) {
+		return fmt.Errorf("block_size %d outside [8, 64]", p.BlockSize)
 	}
 	if p.Steps < 0 || p.Steps > 100000 {
 		return fmt.Errorf("steps %d outside [0, 100000]", p.Steps)
@@ -203,25 +205,34 @@ func (s *JobSpec) Validate() error {
 	if p.DiagEvery < 0 || p.DiagEvery > 100000 {
 		return fmt.Errorf("diag_every %d outside [0, 100000]", p.DiagEvery)
 	}
-	switch p.Layout {
-	case "", "cartesian", "hilbert", "morton", "rowmajor":
-	default:
-		return fmt.Errorf("layout %q (want cartesian, hilbert, morton or rowmajor)", p.Layout)
-	}
 	if p.DumpEvery < 0 || p.DumpEvery > 100000 {
 		return fmt.Errorf("dump_every %d outside [0, 100000]", p.DumpEvery)
 	}
-	switch p.Encoder {
-	case "", "zlib", "rle", "sig", "huff":
-	default:
-		return fmt.Errorf("encoder %q (want zlib, rle, sig or huff)", p.Encoder)
-	}
-	// The dry build catches everything only the registry knows: it is the
-	// single source of truth for parameter feasibility.
-	if _, err := scenario.Build(s.Scenario, s.ScenarioParams()); err != nil {
+	// The dry build and sim.Check catch everything only the registry and
+	// the simulator know (infeasible parameters, layout and encoder names,
+	// block edges the wavelet cannot dump): the job's own config, checked
+	// before any rank starts.
+	c, err := s.Case()
+	if err != nil {
 		return err
 	}
-	return nil
+	return sim.Check(c.Config)
+}
+
+// Case builds the job's scenario case: the registry's own config with the
+// spec's layout and dump settings overlaid. Validate checks it, the
+// in-process runner adds the job's artifact paths and sinks and runs it,
+// and the fleet runner pins its parameters as mpcf-sim flags.
+func (s *JobSpec) Case() (*scenario.Case, error) {
+	c, err := scenario.Build(s.Scenario, s.ScenarioParams())
+	if err != nil {
+		return nil, err
+	}
+	c.Config.Cluster.Layout = s.Params.Layout
+	c.Config.DumpEvery = s.Params.DumpEvery
+	c.Config.Encoder = s.Params.Encoder
+	c.Config.StreamFrames = s.Params.DumpEvery > 0
+	return c, nil
 }
 
 // ScenarioParams maps the spec's overrides onto the registry's parameter

@@ -58,7 +58,13 @@ func TestValidateRejections(t *testing.T) {
 		{"bad mode", func(s *JobSpec) { s.Mode = "warp" }},
 		{"partial ranks triple", func(s *JobSpec) { s.Params.Ranks = [3]int{2, 0, 0} }},
 		{"rank product over cap", func(s *JobSpec) { s.Params.Ranks = [3]int{4, 4, 4} }},
-		{"block size not multiple of 4", func(s *JobSpec) { s.Params.BlockSize = 10 }},
+		{"block size over the cap", func(s *JobSpec) { s.Params.BlockSize = 72 }},
+		{"dump on a block edge the wavelet cannot transform", func(s *JobSpec) {
+			s.Scenario = "cloud"
+			s.Mode = ModeInproc
+			s.Params = SpecParams{Blocks: [3]int{1, 1, 1}, BlockSize: 12, Steps: 2, DumpEvery: 1}
+		}},
+		{"unknown encoder", func(s *JobSpec) { s.Params.Encoder = "bogus" }},
 		{"negative steps", func(s *JobSpec) { s.Params.Steps = -1 }},
 		{"negative seed", func(s *JobSpec) { s.Params.Seed = -3 }},
 		{"bad layout", func(s *JobSpec) { s.Params.Layout = "zigzag" }},
@@ -82,6 +88,11 @@ func TestValidateRejections(t *testing.T) {
 	ok := validSpec()
 	if err := ok.Validate(); err != nil {
 		t.Fatalf("valid spec rejected: %v", err)
+	}
+	// Without dumps any edge in [8, 64] runs.
+	ok.Params.BlockSize = 12
+	if err := ok.Validate(); err != nil {
+		t.Fatalf("12³ blocks without dumps rejected: %v", err)
 	}
 }
 

@@ -5,6 +5,7 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"path/filepath"
 	"time"
@@ -18,6 +19,7 @@ import (
 	"cubism/internal/perf"
 	"cubism/internal/physics"
 	"cubism/internal/telemetry"
+	"cubism/internal/wavelet"
 )
 
 // Config describes one simulation campaign.
@@ -59,10 +61,11 @@ type Config struct {
 	CheckpointPath  string
 	// RestorePath, when non-empty, resumes the run from a checkpoint before
 	// the first step: the grid state, step counter and simulated time are
-	// replaced by the checkpoint contents (the decomposition must match the
-	// one the checkpoint was written with). This is the recovery path after
-	// a rank failure: relaunch the job with RestorePath pointing at the last
-	// checkpoint (mpcf-sim -restore; see docs/networking.md).
+	// replaced by the checkpoint contents (the block size and global block
+	// box must match the writer's; the layout and rank count may differ).
+	// This is the recovery path after a rank failure: relaunch the job with
+	// RestorePath pointing at the last checkpoint (mpcf-sim -restore; see
+	// docs/networking.md).
 	RestorePath string
 	// Wall marks a reflecting wall face for wall-pressure diagnostics.
 	Wall    grid.Face
@@ -181,9 +184,39 @@ type Summary struct {
 	StopReason string
 }
 
+// Check reports the configuration errors that would otherwise surface as a
+// panic inside a rank goroutine: a bad layout name or a non-positive rank
+// or block dim, a block edge below twice the stencil width, an unknown
+// encoder, and dumps on a block edge the wavelet cannot transform (not a
+// power of two of at least wavelet.MinLen). Run calls it before any rank
+// starts; the service runs it on a job's config at submit time.
+func Check(cfg Config) error {
+	cc := cfg.Cluster
+	nRanks := cc.RankDims[0] * cc.RankDims[1] * cc.RankDims[2]
+	if err := layout.Check(cc.Layout, cc.RankDims, cc.BlockDims, nRanks); err != nil {
+		return fmt.Errorf("sim: %w", err)
+	}
+	n := cc.BlockSize
+	if n < 2*grid.StencilWidth {
+		return fmt.Errorf("sim: block size %d smaller than twice the stencil width %d",
+			n, grid.StencilWidth)
+	}
+	if _, err := compress.NewEncoder(cmp.Or(cfg.Encoder, "zlib")); err != nil {
+		return fmt.Errorf("sim: %w", err)
+	}
+	if cfg.DumpEvery > 0 && (n < wavelet.MinLen || n&(n-1) != 0) {
+		return fmt.Errorf("sim: dumps need a power-of-two block size of at least %d, not %d",
+			wavelet.MinLen, n)
+	}
+	return nil
+}
+
 // Run executes the campaign. onStep (may be nil) is invoked on rank 0 after
 // every step. Returns the rank-0 summary.
 func Run(cfg Config, onStep func(StepInfo)) (Summary, error) {
+	if err := Check(cfg); err != nil {
+		return Summary{}, err
+	}
 	if cfg.Encoder == "" {
 		cfg.Encoder = "zlib"
 	}
@@ -195,16 +228,6 @@ func Run(cfg Config, onStep func(StepInfo)) (Summary, error) {
 	}
 	cc := cfg.Cluster
 	nRanks := cc.RankDims[0] * cc.RankDims[1] * cc.RankDims[2]
-	// Every rank builds this layout from the shared config; a bad layout
-	// name or a non-positive rank or block dim is a configuration error,
-	// returned before any rank starts.
-	if _, err := layout.New(cc.Layout, cc.RankDims, cc.BlockDims, nRanks, [3]bool{}); err != nil {
-		return Summary{}, fmt.Errorf("sim: %w", err)
-	}
-	if n := cc.BlockSize; n < 2*grid.StencilWidth {
-		return Summary{}, fmt.Errorf("sim: block size %d smaller than twice the stencil width %d",
-			n, grid.StencilWidth)
-	}
 	world := cfg.World
 	if world == nil {
 		world = mpi.NewWorld(nRanks)

@@ -145,6 +145,11 @@ func TestRunInvalidRanks(t *testing.T) {
 		"rank dims":  func(c *Config) { c.Cluster.RankDims = [3]int{0, 1, 1} },
 		"block dims": func(c *Config) { c.Cluster.BlockDims = [3]int{0, 1, 1} },
 		"layout":     func(c *Config) { c.Cluster.Layout = "bogus" },
+		"encoder":    func(c *Config) { c.Encoder = "bogus" },
+		"dump on 12³ blocks": func(c *Config) {
+			c.Cluster.BlockSize = 12
+			c.DumpEvery = 1
+		},
 	} {
 		// Each is a configuration error returned before any rank starts,
 		// not a panic inside a rank goroutine.
