@@ -85,9 +85,12 @@ service-smoke: bin
 # hilbert-layout process to the same step-5 checksums. A scenario leg runs
 # the registry's cloud case both ways, long enough for its audit cadence
 # (every 20 steps) to fire: the checksums and the observables (mass_drift
-# among them) must match byte for byte.
+# among them) must match byte for byte. A skewed-box leg bounds start-up:
+# a 1024-block hilbert layout of 512×1×1 per rank must build and step in
+# well under 10 s (its curve order costs O(B log B) in the block count).
 smoke-net: bin
 	@rm -rf smoke-net.tmp && mkdir smoke-net.tmp
+	timeout 10 ./bin/mpcf-sim -case sod -ranks 2,1,1 -blocks 512,1,1 -n 8 -layout hilbert -steps 1 -quiet
 	./bin/mpcf-sim -case sod -ranks 2,1,1 -blocks 2,2,2 -n 8 -steps 5 \
 		-quiet -diag-every 0 -sums smoke-net.tmp/inproc.sums
 	./bin/mpcf-launch -n 2 -- -case sod -ranks 2,1,1 -blocks 2,2,2 -n 8 -steps 5 \
@@ -116,7 +119,7 @@ smoke-net: bin
 	cmp smoke-net.tmp/scn-inproc.sums smoke-net.tmp/scn-tcp.sums
 	cmp smoke-net.tmp/scn-inproc.json smoke-net.tmp/scn-tcp.json
 	grep -q mass_drift smoke-net.tmp/scn-tcp.json
-	@echo "smoke-net: checksums bitwise identical across transports (clean + chaos + hilbert migration + cross-process checkpoint restore + cloud scenario)"
+	@echo "smoke-net: skewed-box start-up bounded; checksums bitwise identical across transports (clean + chaos + hilbert migration + cross-process checkpoint restore + cloud scenario)"
 	@rm -rf smoke-net.tmp
 
 # The chaos suite under the race detector: fault-injected transport

@@ -59,7 +59,8 @@ func BenchmarkAblationCurve(b *testing.B) {
 	}
 	for _, name := range []string{"hilbert", "morton", "rowmajor"} {
 		b.Run(name, func(b *testing.B) {
-			g := grid.NewWithCurve(grid.Desc{N: n, NBX: nb, NBY: nb, NBZ: nb, H: 1.0 / float64(n*nb)}, curves[name])
+			g := grid.NewPartial(grid.Desc{N: n, NBX: nb, NBY: nb, NBZ: nb, H: 1.0 / float64(n*nb)},
+				sfc.Enumerate(curves[name], nb, nb, nb))
 			fillBench(g, benchField)
 			e := node.New(g, grid.PeriodicBC(), runtime.NumCPU(), false)
 			outs := make([][]float32, len(g.Blocks))

@@ -82,7 +82,7 @@ func Restore(path string, g *grid.Grid) (step int, simTime float64, err error) {
 		return 0, 0, err
 	}
 	if step, simTime, err = restore(data, g); err != nil {
-		return 0, 0, fmt.Errorf("checkpoint: %s: %v", path, err)
+		return 0, 0, fmt.Errorf("checkpoint: %s: %w", path, err)
 	}
 	return step, simTime, nil
 }

@@ -172,7 +172,7 @@ func NewRank(comm *mpi.Comm, cfg Config) *Rank {
 		NBX: lay.GB[0], NBY: lay.GB[1], NBZ: lay.GB[2],
 		H: h,
 	}
-	g := grid.NewPartial(desc, nil, lay.Blocks(comm.Rank()))
+	g := grid.NewPartial(desc, lay.Blocks(comm.Rank()))
 	r := &Rank{
 		Cfg:    cfg,
 		Comm:   comm,

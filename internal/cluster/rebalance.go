@@ -124,7 +124,7 @@ func (r *Rank) migrate(newLay *layout.Layout) {
 		}
 	}
 	coords := newLay.Blocks(me)
-	g := grid.NewPartial(r.G.Desc, nil, coords)
+	g := grid.NewPartial(r.G.Desc, coords)
 	recvs := make([]*mpi.Request, len(coords))
 	for i, c := range coords {
 		if _, kept := old[newLay.LinearID(c)]; !kept {

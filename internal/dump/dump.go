@@ -40,8 +40,8 @@ type RankEntry struct {
 	Blocks  int   `json:"blocks"`
 	Streams []int `json:"streams"` // encoded stream sizes within the payload
 	// BlockIDs lists the canonical (row-major global) linear block ids of
-	// the rank's payload in block order. Absent in pre-layout files, whose
-	// block order is implied by the cartesian decomposition.
+	// the rank's payload in block order. Absent only in pre-layout files,
+	// which readers refuse.
 	BlockIDs []int64 `json:"block_ids,omitempty"`
 }
 

@@ -165,7 +165,7 @@ func TestMixedBCFacesIndependent(t *testing.T) {
 func TestLabRoutesRemoteNeighborsThroughHalos(t *testing.T) {
 	const n = 8
 	desc := Desc{N: n, NBX: 2, NBY: 1, NBZ: 1, H: 1.0 / (2 * n)}
-	g := NewPartial(desc, nil, [][3]int{{0, 0, 0}})
+	g := NewPartial(desc, [][3]int{{0, 0, 0}})
 	fill(g, coordValue)
 	b := g.Blocks[0]
 	halo := make([]float32, b.HaloSize())

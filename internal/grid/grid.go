@@ -65,9 +65,8 @@ func (d Desc) CellCenter(ix, iy, iz int) (x, y, z float64) {
 // Block is one N³ tile of cells stored as a single AoS allocation.
 // Data layout: ((iz*N+iy)*N+ix)*NQ + q.
 type Block struct {
-	X, Y, Z int    // block coordinates within the (global) box
-	Index   uint64 // position along the space-filling curve
-	N       int    // cells per dimension
+	X, Y, Z int // block coordinates within the (global) box
+	N       int // cells per dimension
 	Data    []float32
 
 	// halos are the per-face ghost slabs installed by the cluster layer
@@ -97,7 +96,6 @@ func (b *Block) Set(ix, iy, iz, q int, v float32) {
 // partial grid holds the owned subset of a larger global box.
 type Grid struct {
 	Desc
-	Curve  sfc.Curve
 	Blocks []*Block          // in curve (or layout) order
 	byPos  map[[3]int]*Block // box-global block coordinate lookup
 }
@@ -126,16 +124,18 @@ func (f Face) String() string {
 	return [...]string{"x-", "x+", "y-", "y+", "z-", "z+"}[f]
 }
 
-// New allocates a grid of NBX x NBY x NBZ blocks of N³ cells, ordered along
-// the space-filling curve best suited to the box shape.
+// New allocates the full box of NBX x NBY x NBZ blocks of N³ cells, ordered
+// along the space-filling curve best suited to the box shape (sfc.ForBox).
 func New(d Desc) *Grid {
-	return NewWithCurve(d, sfc.ForBox(d.NBX, d.NBY, d.NBZ))
+	return NewPartial(d, sfc.Enumerate(sfc.ForBox(d.NBX, d.NBY, d.NBZ), d.NBX, d.NBY, d.NBZ))
 }
 
-// NewWithCurve allocates a grid with an explicit block ordering, used by
-// the space-filling-curve ablation benchmarks. The curve must cover the
-// block box (power-of-two cube curves cover any smaller box).
-func NewWithCurve(d Desc, curve sfc.Curve) *Grid {
+// NewPartial allocates a grid holding only the listed blocks of the box
+// described by d, in the given order (a curve order, or the layout's
+// per-rank block enumeration). One backing allocation keeps the blocks
+// contiguous in that order, which is the locality the SFC reindexing is
+// after.
+func NewPartial(d Desc, coords [][3]int) *Grid {
 	if d.N <= 0 || d.NBX <= 0 || d.NBY <= 0 || d.NBZ <= 0 {
 		panic(fmt.Sprintf("grid: invalid descriptor %+v", d))
 	}
@@ -144,42 +144,6 @@ func NewWithCurve(d Desc, curve sfc.Curve) *Grid {
 	}
 	g := &Grid{
 		Desc:  d,
-		Curve: curve,
-		byPos: make(map[[3]int]*Block, d.Blocks()),
-	}
-	order := sfc.Enumerate(g.Curve, d.NBX, d.NBY, d.NBZ)
-	// One backing allocation for all blocks keeps them contiguous in curve
-	// order, which is the locality the SFC reindexing is after.
-	backing := make([]float32, d.Blocks()*d.N*d.N*d.N*NQ)
-	per := d.N * d.N * d.N * NQ
-	g.Blocks = make([]*Block, 0, d.Blocks())
-	for i, c := range order {
-		b := &Block{
-			X: c[0], Y: c[1], Z: c[2],
-			Index: g.Curve.Index(c[0], c[1], c[2]),
-			N:     d.N,
-			Data:  backing[i*per : (i+1)*per : (i+1)*per],
-		}
-		g.Blocks = append(g.Blocks, b)
-		g.byPos[c] = b
-	}
-	return g
-}
-
-// NewPartial allocates a grid holding only the listed blocks of the global
-// box described by d, in the given order (the layout's per-rank block
-// enumeration). One backing allocation keeps the owned blocks contiguous in
-// that order; Block.Index is the canonical row-major position in the box.
-func NewPartial(d Desc, curve sfc.Curve, coords [][3]int) *Grid {
-	if d.N <= 0 || d.NBX <= 0 || d.NBY <= 0 || d.NBZ <= 0 {
-		panic(fmt.Sprintf("grid: invalid descriptor %+v", d))
-	}
-	if d.N < 2*StencilWidth {
-		panic(fmt.Sprintf("grid: block size %d smaller than twice the stencil width", d.N))
-	}
-	g := &Grid{
-		Desc:  d,
-		Curve: curve,
 		byPos: make(map[[3]int]*Block, len(coords)),
 	}
 	backing := make([]float32, len(coords)*d.N*d.N*d.N*NQ)
@@ -194,9 +158,8 @@ func NewPartial(d Desc, curve sfc.Curve, coords [][3]int) *Grid {
 		}
 		b := &Block{
 			X: c[0], Y: c[1], Z: c[2],
-			Index: uint64((c[2]*d.NBY+c[1])*d.NBX + c[0]),
-			N:     d.N,
-			Data:  backing[i*per : (i+1)*per : (i+1)*per],
+			N:    d.N,
+			Data: backing[i*per : (i+1)*per : (i+1)*per],
 		}
 		g.Blocks = append(g.Blocks, b)
 		g.byPos[c] = b

@@ -148,8 +148,8 @@ func TestPackFaceHaloRoundTrip(t *testing.T) {
 	// face of one and installing it as the neighbor block's halo on the
 	// other must reproduce direct neighbor access in the lab.
 	desc := Desc{N: 8, NBX: 2, NBY: 1, NBZ: 1, H: 0.1}
-	left := NewPartial(desc, nil, [][3]int{{0, 0, 0}})
-	right := NewPartial(desc, nil, [][3]int{{1, 0, 0}})
+	left := NewPartial(desc, [][3]int{{0, 0, 0}})
+	right := NewPartial(desc, [][3]int{{1, 0, 0}})
 	fill(left, coordValue)
 	fill(right, coordValue)
 

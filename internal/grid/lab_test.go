@@ -31,7 +31,7 @@ func TestLabLoadMatchesPerCellOracle(t *testing.T) {
 			coords = append(coords, [3]int{rng.Intn(d.NBX), rng.Intn(d.NBY), rng.Intn(d.NBZ)})
 		}
 		rng.Shuffle(len(coords), func(i, j int) { coords[i], coords[j] = coords[j], coords[i] })
-		g := NewPartial(d, nil, coords)
+		g := NewPartial(d, coords)
 		var bc BC
 		for f := range bc {
 			bc[f] = BCKind(rng.Intn(3))

@@ -49,8 +49,8 @@ type Layout struct {
 	Cuts []int
 
 	curve sfc.Curve
-	order [][3]int       // global curve enumeration (SFC layouts; nil for cartesian)
-	pos   map[[3]int]int // block coords → curve ordinal (SFC layouts)
+	order [][3]int // global curve enumeration (SFC layouts; nil for cartesian)
+	pos   []int    // LinearID → curve ordinal (SFC layouts)
 }
 
 // New builds the named layout. name "" or "cartesian" yields the cartesian
@@ -74,15 +74,11 @@ func New(name string, rankDims, blockDims [3]int, nranks int, periodic [3]bool) 
 		l.Name = Cartesian
 		return l, nil
 	case "hilbert", "morton":
-		// Power-of-two cube curves cover any smaller box via Enumerate.
-		edge := 1
-		bits := uint(0)
-		for edge < gb[0] || edge < gb[1] || edge < gb[2] {
-			edge <<= 1
+		// A curve on the enclosing power-of-two cube orders any smaller
+		// box (sfc.Enumerate).
+		bits := uint(1)
+		for 1<<bits < max(gb[0], gb[1], gb[2]) {
 			bits++
-		}
-		if bits == 0 {
-			bits = 1
 		}
 		if name == "hilbert" {
 			l.curve = sfc.Hilbert{Bits: bits}
@@ -93,16 +89,17 @@ func New(name string, rankDims, blockDims [3]int, nranks int, periodic [3]bool) 
 		l.curve = sfc.RowMajor{NX: gb[0], NY: gb[1], NZ: gb[2]}
 	}
 	l.order = sfc.Enumerate(l.curve, gb[0], gb[1], gb[2])
-	l.pos = make(map[[3]int]int, len(l.order))
+	l.pos = make([]int, len(l.order))
 	for i, c := range l.order {
-		l.pos[c] = i
+		l.pos[l.LinearID(c)] = i
 	}
-	l.Cuts = sfc.Partition(l.curve, gb[0], gb[1], gb[2], nranks)
+	l.Cuts = sfc.Partition(len(l.order), nranks)
 	return l, nil
 }
 
 // Check reports the error New would return for these arguments without
-// building the layout (an SFC layout enumerates its whole global box).
+// building the layout, whose SFC order costs O(B log B) in the global
+// block count B.
 func Check(name string, rankDims, blockDims [3]int, nranks int) error {
 	for a := 0; a < 3; a++ {
 		if rankDims[a] <= 0 || blockDims[a] <= 0 {
@@ -171,7 +168,7 @@ func (l *Layout) Owner(c [3]int) int {
 		rx, ry, rz := c[0]/l.BlockDims[0], c[1]/l.BlockDims[1], c[2]/l.BlockDims[2]
 		return (rz*l.RankDims[1]+ry)*l.RankDims[0] + rx
 	}
-	p := l.pos[c]
+	p := l.pos[l.LinearID(c)]
 	// Binary search the cut table: the rank whose [Cuts[r], Cuts[r+1])
 	// chunk holds p.
 	lo, hi := 0, l.NRanks-1

@@ -154,3 +154,23 @@ func TestCartesianOwnerMatchesRankFormula(t *testing.T) {
 		}
 	}
 }
+
+var layoutSink *Layout
+
+// BenchmarkLayoutNew times one rank's layout build (the curve order, the
+// position table and the cuts) on a skewed box and on the production cube.
+func BenchmarkLayoutNew(b *testing.B) {
+	for _, bc := range []struct {
+		name                string
+		rankDims, blockDims [3]int
+	}{
+		{"hilbert_256x8x8", [3]int{2, 1, 1}, [3]int{128, 8, 8}},
+		{"hilbert_32x32x32", [3]int{2, 1, 1}, [3]int{16, 32, 32}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				layoutSink = MustNew("hilbert", bc.rankDims, bc.blockDims, 2, [3]bool{})
+			}
+		})
+	}
+}

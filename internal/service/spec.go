@@ -97,6 +97,12 @@ const MaxSpecBytes = 1 << 16
 // aggressive ask for one tenant on one machine.
 const maxRanks = 16
 
+// maxCells bounds a job's total cell count (ranks × blocks × n³): 2²⁴ cells
+// is 512 blocks of 32³. A cell carries 7 float32 quantities in each of the
+// state, the RK register and the RHS buffer, 84 bytes, so the cap holds a
+// job's solver state to 1.4 GB of the service host's memory.
+const maxCells = 1 << 24
+
 // ParseSpec decodes one JSON job spec, rejecting unknown fields and
 // trailing garbage so typos fail loudly at submit time.
 func ParseSpec(r io.Reader) (JobSpec, error) {
@@ -215,6 +221,14 @@ func (s *JobSpec) Validate() error {
 	c, err := s.Case()
 	if err != nil {
 		return err
+	}
+	cl := &c.Config.Cluster
+	cells := int64(cl.BlockSize) * int64(cl.BlockSize) * int64(cl.BlockSize)
+	for a := 0; a < 3; a++ {
+		cells *= int64(cl.RankDims[a]) * int64(cl.BlockDims[a])
+	}
+	if cells > maxCells {
+		return fmt.Errorf("job of %d cells exceeds the per-job cap of %d cells", cells, maxCells)
 	}
 	return sim.Check(c.Config)
 }

@@ -59,6 +59,10 @@ func TestValidateRejections(t *testing.T) {
 		{"partial ranks triple", func(s *JobSpec) { s.Params.Ranks = [3]int{2, 0, 0} }},
 		{"rank product over cap", func(s *JobSpec) { s.Params.Ranks = [3]int{4, 4, 4} }},
 		{"block size over the cap", func(s *JobSpec) { s.Params.BlockSize = 72 }},
+		{"cell count over the cap", func(s *JobSpec) {
+			s.Params.Ranks = [3]int{16, 1, 1}
+			s.Params.Blocks = [3]int{64, 64, 64}
+		}},
 		{"dump on a block edge the wavelet cannot transform", func(s *JobSpec) {
 			s.Scenario = "cloud"
 			s.Mode = ModeInproc

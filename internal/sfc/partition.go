@@ -5,20 +5,15 @@ import (
 	"math"
 )
 
-// Partition splits the blocks of an nx x ny x nz box, taken in the order of
-// curve c, into nranks contiguous chunks of near-equal size. It returns the
-// cut points as a slice of length nranks+1: rank r owns curve positions
-// [cuts[r], cuts[r+1]). Every block is owned exactly once, the chunks are
-// contiguous along the curve, and for this uniform-cost split the chunk
-// sizes differ by at most one block.
-//
-// The curve parameter documents (and pins) the enumeration the cut points
-// index into; the cut positions themselves depend only on the block count.
-func Partition(c Curve, nx, ny, nz, nranks int) []int {
-	total := nx * ny * nz
+// Partition splits total blocks, taken in curve order, into nranks
+// contiguous chunks of near-equal size. It returns the cut points as a
+// slice of length nranks+1: rank r owns curve positions [cuts[r],
+// cuts[r+1]). Every block is owned exactly once, the chunks are contiguous
+// along the curve, and for this uniform-cost split the chunk sizes differ
+// by at most one block.
+func Partition(total, nranks int) []int {
 	if nranks <= 0 || total < nranks {
-		panic(fmt.Sprintf("sfc: cannot partition %d blocks (%dx%dx%d along %s) into %d ranks",
-			total, nx, ny, nz, c.Name(), nranks))
+		panic(fmt.Sprintf("sfc: cannot partition %d blocks into %d ranks", total, nranks))
 	}
 	cuts := make([]int, nranks+1)
 	for r := 0; r <= nranks; r++ {

@@ -30,9 +30,8 @@ func TestPartitionUniform(t *testing.T) {
 		{1, 1, 1, 1}, {2, 2, 2, 2}, {2, 2, 2, 3}, {4, 4, 4, 5},
 		{4, 4, 4, 64}, {3, 2, 5, 4}, {8, 8, 8, 7}, {2, 1, 2, 4},
 	} {
-		c := ForBox(tc.nx, tc.ny, tc.nz)
-		cuts := Partition(c, tc.nx, tc.ny, tc.nz, tc.nranks)
 		total := tc.nx * tc.ny * tc.nz
+		cuts := Partition(total, tc.nranks)
 		checkCuts(t, cuts, total, tc.nranks)
 		// Uniform cost: chunk sizes within ±1 block of each other.
 		minSz, maxSz := total, 0
@@ -55,7 +54,7 @@ func TestPartitionUniform(t *testing.T) {
 func TestPartitionOwnsEveryBlockOnce(t *testing.T) {
 	nx, ny, nz, nranks := 4, 4, 4, 5
 	c := ForBox(nx, ny, nz)
-	cuts := Partition(c, nx, ny, nz, nranks)
+	cuts := Partition(nx*ny*nz, nranks)
 	order := Enumerate(c, nx, ny, nz)
 	owned := make(map[[3]int]int)
 	for r := 0; r < nranks; r++ {
@@ -79,7 +78,7 @@ func TestPartitionTooFewBlocksPanics(t *testing.T) {
 			t.Fatal("expected panic partitioning 8 blocks into 9 ranks")
 		}
 	}()
-	Partition(ForBox(2, 2, 2), 2, 2, 2, 9)
+	Partition(2*2*2, 9)
 }
 
 func TestPartitionWeightedProperties(t *testing.T) {

@@ -8,7 +8,10 @@
 // length, plus a row-major fallback for arbitrary box shapes.
 package sfc
 
-import "fmt"
+import (
+	"cmp"
+	"slices"
+)
 
 // Curve maps 3D block coordinates to a linear index and back.
 type Curve interface {
@@ -181,37 +184,33 @@ func ForBox(nx, ny, nz int) Curve {
 	return RowMajor{NX: nx, NY: ny, NZ: nz}
 }
 
-// Enumerate returns the block coordinates of a box in curve order, skipping
-// curve positions that fall outside the box (for curves defined on the
-// enclosing power-of-two cube).
+// Enumerate returns the block coordinates of an nx x ny x nz box in curve
+// order: every block's Index, sorted (ties, which no bijective curve has,
+// fall back to the coordinates). A curve defined on the enclosing
+// power-of-two cube orders any smaller box this way, so the cost is
+// O(B log B) in the box's B blocks, whatever its aspect ratio.
 func Enumerate(c Curve, nx, ny, nz int) [][3]int {
-	out := make([][3]int, 0, nx*ny*nz)
-	switch cc := c.(type) {
-	case RowMajor:
-		for z := 0; z < nz; z++ {
-			for y := 0; y < ny; y++ {
-				for x := 0; x < nx; x++ {
-					out = append(out, [3]int{x, y, z})
-				}
-			}
-		}
-		_ = cc
-	default:
-		// Walk the full curve of the enclosing cube and keep in-box points.
-		edge := 1
-		for edge < nx || edge < ny || edge < nz {
-			edge <<= 1
-		}
-		total := uint64(edge) * uint64(edge) * uint64(edge)
-		for i := uint64(0); i < total; i++ {
-			x, y, z := c.Coords(i)
-			if x < nx && y < ny && z < nz {
-				out = append(out, [3]int{x, y, z})
+	type key struct {
+		idx uint64
+		p   [3]int
+	}
+	keys := make([]key, 0, nx*ny*nz)
+	for z := 0; z < nz; z++ {
+		for y := 0; y < ny; y++ {
+			for x := 0; x < nx; x++ {
+				keys = append(keys, key{c.Index(x, y, z), [3]int{x, y, z}})
 			}
 		}
 	}
-	if len(out) != nx*ny*nz {
-		panic(fmt.Sprintf("sfc: enumerated %d of %d blocks", len(out), nx*ny*nz))
+	slices.SortFunc(keys, func(a, b key) int {
+		if c := cmp.Compare(a.idx, b.idx); c != 0 {
+			return c
+		}
+		return slices.Compare(a.p[:], b.p[:])
+	})
+	out := make([][3]int, len(keys))
+	for i, k := range keys {
+		out[i] = k.p
 	}
 	return out
 }

@@ -2,6 +2,7 @@ package sfc
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -133,6 +134,89 @@ func TestEnumerateCoversBox(t *testing.T) {
 		}
 		if len(pts) != dims[0]*dims[1]*dims[2] {
 			t.Fatalf("%v: enumerated %d points", dims, len(pts))
+		}
+	}
+}
+
+// walkCube is the reference enumeration Enumerate replaced: walk every
+// position of the enclosing power-of-two cube and keep the in-box ones.
+// Its cost follows the box's longest edge cubed, so it lives only here.
+func walkCube(c Curve, nx, ny, nz int) [][3]int {
+	edge := 1
+	for edge < nx || edge < ny || edge < nz {
+		edge <<= 1
+	}
+	var out [][3]int
+	for i := uint64(0); i < uint64(edge)*uint64(edge)*uint64(edge); i++ {
+		x, y, z := c.Coords(i)
+		if x < nx && y < ny && z < nz {
+			out = append(out, [3]int{x, y, z})
+		}
+	}
+	return out
+}
+
+// curvesFor returns the three curves over an nx x ny x nz box, the cube
+// curves sized to the enclosing power-of-two cube as the layout sizes them.
+func curvesFor(nx, ny, nz int) []Curve {
+	bits := uint(1)
+	for 1<<bits < max(nx, ny, nz) {
+		bits++
+	}
+	return []Curve{Hilbert{Bits: bits}, Morton{Bits: bits}, RowMajor{NX: nx, NY: ny, NZ: nz}}
+}
+
+// TestEnumerateMatchesCubeWalk: index-and-sort yields exactly the cube
+// walk's order over seeded random boxes, skewed and non-power-of-two, for
+// every curve.
+func TestEnumerateMatchesCubeWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(36))
+	boxes := [][3]int{{5, 3, 7}, {64, 4, 4}, {1, 1, 1}, {16, 16, 16}}
+	for len(boxes) < 28 {
+		d := [3]int{1 + rng.Intn(12), 1 + rng.Intn(12), 1 + rng.Intn(12)}
+		if len(boxes)%2 == 0 { // one long axis
+			d[rng.Intn(3)] = 1 + rng.Intn(64)
+		}
+		boxes = append(boxes, d)
+	}
+	for _, d := range boxes {
+		for _, c := range curvesFor(d[0], d[1], d[2]) {
+			got, want := Enumerate(c, d[0], d[1], d[2]), walkCube(c, d[0], d[1], d[2])
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s on %v: Enumerate differs from the cube walk", c.Name(), d)
+			}
+		}
+	}
+}
+
+// countingCurve counts the calls Enumerate makes into its curve.
+type countingCurve struct {
+	Curve
+	index, coords int
+}
+
+func (c *countingCurve) Index(x, y, z int) uint64 {
+	c.index++
+	return c.Curve.Index(x, y, z)
+}
+
+func (c *countingCurve) Coords(i uint64) (x, y, z int) {
+	c.coords++
+	return c.Curve.Coords(i)
+}
+
+// TestEnumerateCostFollowsBlocks: Enumerate asks the curve for one index
+// per in-box block and never walks curve positions, so a skewed box costs
+// what its block count costs.
+func TestEnumerateCostFollowsBlocks(t *testing.T) {
+	for _, d := range [][3]int{{256, 8, 8}, {5, 3, 7}} {
+		for _, c := range curvesFor(d[0], d[1], d[2]) {
+			cc := &countingCurve{Curve: c}
+			Enumerate(cc, d[0], d[1], d[2])
+			if cc.index != d[0]*d[1]*d[2] || cc.coords != 0 {
+				t.Errorf("%s on %v: %d Index and %d Coords calls, want %d and 0",
+					c.Name(), d, cc.index, cc.coords, d[0]*d[1]*d[2])
+			}
 		}
 	}
 }

@@ -1,7 +1,10 @@
 package sim
 
 import (
+	"errors"
+	"io/fs"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"cubism/internal/cluster"
@@ -135,4 +138,23 @@ func TestControllerNoStopIsInert(t *testing.T) {
 		t.Fatal("idle controller reported Stopped")
 	}
 	AssertTotalsBitwise(t, "idle controller vs plain", ref, got)
+}
+
+// TestRunRestoreMissingCheckpoint: both in-process ranks fail their
+// restore. Run reports one error (race-free under -race) that names the
+// path once and still unwraps to fs.ErrNotExist.
+func TestRunRestoreMissingCheckpoint(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "missing.ckp")
+	cfg := controlCfg(2, nil)
+	cfg.RestorePath = path
+	_, err := Run(cfg, nil)
+	if err == nil {
+		t.Fatal("restore from a missing checkpoint succeeded")
+	}
+	if !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("error %q does not unwrap to fs.ErrNotExist", err)
+	}
+	if n := strings.Count(err.Error(), path); n != 1 {
+		t.Errorf("error %q names the checkpoint path %d times, want once", err, n)
+	}
 }

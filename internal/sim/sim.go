@@ -8,6 +8,7 @@ import (
 	"cmp"
 	"fmt"
 	"path/filepath"
+	"sync"
 	"time"
 
 	"cubism/internal/cluster"
@@ -290,12 +291,20 @@ func Run(cfg Config, onStep func(StepInfo)) (Summary, error) {
 
 	var summary Summary
 	var runErr error
+	var errMu sync.Mutex
+	fail := func(err error) { // every in-process rank may fail; the first error wins
+		errMu.Lock()
+		defer errMu.Unlock()
+		if runErr == nil {
+			runErr = err
+		}
+	}
 	world.Run(func(comm *mpi.Comm) {
 		r := cluster.NewRank(comm, cfg.Cluster)
 		defer r.Close()
 		if cfg.RestorePath != "" {
 			if err := r.RestoreCheckpoint(cfg.RestorePath); err != nil {
-				runErr = fmt.Errorf("sim: restore %s: %w", cfg.RestorePath, err)
+				fail(fmt.Errorf("sim: restore: %w", err))
 				return
 			}
 		}
@@ -346,7 +355,7 @@ func Run(cfg Config, onStep func(StepInfo)) (Summary, error) {
 					// ranks stopped at the same boundary, so the job can
 					// resume from exactly here.
 					if err := r.SaveCheckpoint(cfg.CheckpointPath); err != nil {
-						runErr = err
+						fail(err)
 						return
 					}
 				}
@@ -373,7 +382,7 @@ func Run(cfg Config, onStep func(StepInfo)) (Summary, error) {
 					}
 					st, streamed, err := r.DumpTo(target, dq.q, dq.eps, cfg.Encoder)
 					if err != nil {
-						runErr = err
+						fail(err)
 						return
 					}
 					rates[dq.q.String()] = st.Rate()
@@ -390,7 +399,7 @@ func Run(cfg Config, onStep func(StepInfo)) (Summary, error) {
 			}
 			if cfg.CheckpointEvery > 0 && r.Step%cfg.CheckpointEvery == 0 {
 				if err := r.SaveCheckpoint(cfg.CheckpointPath); err != nil {
-					runErr = err
+					fail(err)
 					return
 				}
 			}
@@ -407,7 +416,7 @@ func Run(cfg Config, onStep func(StepInfo)) (Summary, error) {
 				// exchange already opened a fresh tag epoch, so the batch
 				// and sync tags cannot collide with halo traffic.
 				if err := obs.flush(r, info.Step, info.WallMS); err != nil {
-					runErr = err
+					fail(err)
 					return
 				}
 			}
@@ -483,7 +492,7 @@ func Run(cfg Config, onStep func(StepInfo)) (Summary, error) {
 						rec.NonFinite = info.Totals.NonFinite
 					}
 					if err := stepLog.Log(rec); err != nil {
-						runErr = err
+						fail(err)
 						return
 					}
 				}
@@ -499,7 +508,7 @@ func Run(cfg Config, onStep func(StepInfo)) (Summary, error) {
 		if obs != nil {
 			rep, err := obs.finish()
 			if err != nil {
-				runErr = err
+				fail(err)
 				return
 			}
 			obsReport = rep

@@ -9,7 +9,6 @@ import (
 	"math"
 
 	"cubism/internal/dump"
-	"cubism/internal/sfc"
 )
 
 // RGB is one 8-bit color.
@@ -158,12 +157,10 @@ func (v *Volume) Slice(axis, index int) Plane {
 }
 
 // Assemble reconstructs the global field from a dump's per-rank block
-// fields. Headers that carry per-rank block-id tables (any layout,
-// including mid-run rebalanced ones) place each block by its canonical
-// linear id; pre-layout headers fall back to the implied cartesian
-// decomposition — ranks map to a cartesian box (x-fastest), blocks within a
-// rank follow the same space-filling-curve order the grid used when
-// compressing.
+// fields, placing each block by the canonical linear id the header's rank
+// table records for it — the one block order every writer states, whatever
+// its layout, rank count or mid-run rebalancing. A pre-layout header
+// without block ids is refused.
 func Assemble(hdr dump.Header, fields [][][]float32) (*Volume, error) {
 	n := hdr.BlockSize
 	rb := hdr.BlockDims
@@ -175,8 +172,8 @@ func Assemble(hdr dump.Header, fields [][][]float32) (*Volume, error) {
 		NZ: gb[2] * n,
 	}
 	vol.Data = make([]float64, vol.NX*vol.NY*vol.NZ)
-	if len(fields) != rd[0]*rd[1]*rd[2] {
-		return nil, fmt.Errorf("viz: %d rank payloads for %v rank grid", len(fields), rd)
+	if len(fields) != rd[0]*rd[1]*rd[2] || len(hdr.Ranks) != len(fields) {
+		return nil, fmt.Errorf("viz: %d rank payloads and %d header entries for %v rank grid", len(fields), len(hdr.Ranks), rd)
 	}
 	place := func(blk []float32, bx, by, bz int) {
 		baseX, baseY, baseZ := bx*n, by*n, bz*n
@@ -189,41 +186,31 @@ func Assemble(hdr dump.Header, fields [][][]float32) (*Volume, error) {
 			}
 		}
 	}
-	if len(hdr.Ranks) == len(fields) && len(hdr.Ranks) > 0 && hdr.Ranks[0].BlockIDs != nil {
-		total := 0
-		for rank, blocks := range fields {
-			ids := hdr.Ranks[rank].BlockIDs
-			if len(blocks) != len(ids) {
-				return nil, fmt.Errorf("viz: rank %d has %d blocks but %d block ids", rank, len(blocks), len(ids))
-			}
-			total += len(ids)
-			for bi, id := range ids {
-				if id < 0 || id >= int64(gb[0]*gb[1]*gb[2]) {
-					return nil, fmt.Errorf("viz: rank %d block id %d outside %v box", rank, id, gb)
-				}
-				bx := int(id) % gb[0]
-				by := (int(id) / gb[0]) % gb[1]
-				bz := int(id) / (gb[0] * gb[1])
-				place(blocks[bi], bx, by, bz)
-			}
-		}
-		if total != gb[0]*gb[1]*gb[2] {
-			return nil, fmt.Errorf("viz: block-id tables cover %d of %d blocks", total, gb[0]*gb[1]*gb[2])
-		}
-		return vol, nil
-	}
-	curve := sfc.ForBox(rb[0], rb[1], rb[2])
-	order := sfc.Enumerate(curve, rb[0], rb[1], rb[2])
+	total := gb[0] * gb[1] * gb[2]
+	seen := make([]bool, total)
+	placed := 0
 	for rank, blocks := range fields {
-		if len(blocks) != len(order) {
-			return nil, fmt.Errorf("viz: rank %d has %d blocks, expected %d", rank, len(blocks), len(order))
+		ids := hdr.Ranks[rank].BlockIDs
+		if ids == nil && len(blocks) > 0 {
+			return nil, fmt.Errorf("viz: rank %d: pre-layout dump without block ids, no longer readable", rank)
 		}
-		rx := rank % rd[0]
-		ry := (rank / rd[0]) % rd[1]
-		rz := rank / (rd[0] * rd[1])
-		for bi, c := range order {
-			place(blocks[bi], rx*rb[0]+c[0], ry*rb[1]+c[1], rz*rb[2]+c[2])
+		if len(blocks) != len(ids) {
+			return nil, fmt.Errorf("viz: rank %d has %d blocks but %d block ids", rank, len(blocks), len(ids))
 		}
+		for bi, id := range ids {
+			if id < 0 || id >= int64(total) || seen[id] {
+				return nil, fmt.Errorf("viz: rank %d block id %d outside %v box or repeated", rank, id, gb)
+			}
+			seen[id] = true
+			placed++
+			bx := int(id) % gb[0]
+			by := (int(id) / gb[0]) % gb[1]
+			bz := int(id) / (gb[0] * gb[1])
+			place(blocks[bi], bx, by, bz)
+		}
+	}
+	if placed != total {
+		return nil, fmt.Errorf("viz: block-id tables cover %d of %d blocks", placed, total)
 	}
 	return vol, nil
 }

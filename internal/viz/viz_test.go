@@ -3,10 +3,10 @@ package viz
 import (
 	"bytes"
 	"math"
+	"strings"
 	"testing"
 
 	"cubism/internal/dump"
-	"cubism/internal/sfc"
 )
 
 func TestColormapEndpoints(t *testing.T) {
@@ -91,21 +91,20 @@ func TestVolumeSlices(t *testing.T) {
 
 func TestAssembleSingleRank(t *testing.T) {
 	// One rank, 2x2x2 blocks of 8³: fill block fields with their global
-	// coordinates and check the assembly inverts the SFC ordering.
+	// coordinates, list them in a scrambled order with their canonical ids
+	// and check the assembly places every block by its id.
 	n := 8
+	ids := []int64{5, 0, 7, 2, 6, 1, 3, 4}
 	hdr := dump.Header{
 		BlockSize: n,
 		RankDims:  [3]int{1, 1, 1},
 		BlockDims: [3]int{2, 2, 2},
+		Ranks:     []dump.RankEntry{{Blocks: len(ids), BlockIDs: ids}},
 	}
-	// Build the per-block fields in the same order Assemble expects by
-	// asking it to reassemble coordinate-coded data and verifying pointwise.
-	// We construct the block list via the same curve package used by the
-	// grid, exactly like the writer does.
 	fields := make([][][]float32, 1)
-	blocks := make([][]float32, 8)
-	order := sfc.Enumerate(sfc.ForBox(2, 2, 2), 2, 2, 2)
-	for bi, c := range order {
+	blocks := make([][]float32, len(ids))
+	for bi, id := range ids {
+		c := [3]int{int(id) % 2, int(id) / 2 % 2, int(id) / 4}
 		blk := make([]float32, n*n*n)
 		for z := 0; z < n; z++ {
 			for y := 0; y < n; y++ {
@@ -127,6 +126,26 @@ func TestAssembleSingleRank(t *testing.T) {
 		if got := vol.At(probe[0], probe[1], probe[2]); got != want {
 			t.Errorf("At%v = %g, want %g", probe, got, want)
 		}
+	}
+}
+
+// TestAssembleRefusesDumpWithoutIDs: a pre-layout header, whose block order
+// only the writer's curve knew, is refused by name rather than guessed at.
+func TestAssembleRefusesDumpWithoutIDs(t *testing.T) {
+	hdr := dump.Header{
+		BlockSize: 8,
+		RankDims:  [3]int{1, 1, 1},
+		BlockDims: [3]int{1, 1, 2},
+		Ranks:     []dump.RankEntry{{Blocks: 2}},
+	}
+	fields := [][][]float32{{make([]float32, 512), make([]float32, 512)}}
+	_, err := Assemble(hdr, fields)
+	if err == nil || !strings.Contains(err.Error(), "without block ids") {
+		t.Fatalf("pre-layout header: err = %v, want a refusal naming the missing block ids", err)
+	}
+	hdr.Ranks[0].BlockIDs = []int64{1, 1}
+	if _, err := Assemble(hdr, fields); err == nil {
+		t.Error("repeated block id accepted")
 	}
 }
 
