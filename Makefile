@@ -9,7 +9,10 @@ GO ?= go
 
 check: vet build test race
 
+# vet fails on any file gofmt would rewrite, then runs go vet.
 vet:
+	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l: these files need gofmt -w:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 
 build:

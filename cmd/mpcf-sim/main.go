@@ -121,8 +121,6 @@ func parse(args []string) (*cli, error) {
 	coord := fs.String("coord", "", "rendezvous coordinator host:port; rank 0 listens on it (tcp transport)")
 	listen := fs.String("listen", "", "data listener bind address (tcp transport; empty picks a free port)")
 	dialTimeout := fs.Duration("net-dial-timeout", 0, "rendezvous + mesh construction budget (0: 30s)")
-	readTimeout := fs.Duration("net-read-timeout", 0, "per-frame read deadline (0: none)")
-	writeTimeout := fs.Duration("net-write-timeout", 0, "per-frame write deadline (0: none)")
 	netHeartbeat := fs.Duration("net-heartbeat", 0, "idle-link heartbeat cadence (0: 2s; negative disables)")
 	netPeerTimeout := fs.Duration("net-peer-timeout", 0, "declare a silent peer failed after this long (0: 30s)")
 	netRetransmit := fs.Duration("net-retransmit", 0, "force a reconnect when acks stall this long (0: 3s; negative disables)")
@@ -257,8 +255,6 @@ func parse(args []string) (*cli, error) {
 			Coord:             *coord,
 			Listen:            *listen,
 			DialTimeout:       *dialTimeout,
-			ReadTimeout:       *readTimeout,
-			WriteTimeout:      *writeTimeout,
 			HeartbeatInterval: *netHeartbeat,
 			PeerTimeout:       *netPeerTimeout,
 			RetransmitTimeout: *netRetransmit,
@@ -295,10 +291,7 @@ func frameSink(dir, logPath string) cubism.FrameSink {
 					return err
 				}
 			}
-			rec, err := json.Marshal(cubism.FrameRecord{
-				Name: f.Name, Step: f.Step, Quantity: f.Quantity,
-				Time: f.Time, Bytes: len(f.Data), Data: f.Data,
-			})
+			rec, err := json.Marshal(f.Record())
 			if err != nil {
 				return err
 			}

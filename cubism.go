@@ -232,7 +232,8 @@ type Frame = dump.Frame
 // FrameSink consumes streamed frames on the sink rank.
 type FrameSink = dump.FrameSink
 
-// FrameRecord is the JSONL shape of a streamed frame in a -frame-log file.
+// FrameRecord is the serialized streamed frame: a -frame-log line and the
+// payload of a job's frame event (Frame.Record builds it).
 type FrameRecord = dump.FrameRecord
 
 // DecodeDumpFrame parses a complete dump-file image (a streamed frame)

@@ -13,10 +13,10 @@ import (
 func FuzzEntropyRoundTrip(f *testing.F) {
 	f.Add([]byte{}, uint8(0))
 	f.Add([]byte{0}, uint8(3))
-	f.Add(bytes.Repeat([]byte{0}, 300), uint8(1))                       // long zero run (rle)
-	f.Add(bytes.Repeat([]byte{0xAB}, 64), uint8(3))                     // single-symbol alphabet (huff)
-	f.Add([]byte("abacabadabacabae"), uint8(3))                         // skewed alphabet
-	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0}, uint8(2))   // sparse words (sig)
+	f.Add(bytes.Repeat([]byte{0}, 300), uint8(1))                     // long zero run (rle)
+	f.Add(bytes.Repeat([]byte{0xAB}, 64), uint8(3))                   // single-symbol alphabet (huff)
+	f.Add([]byte("abacabadabacabae"), uint8(3))                       // skewed alphabet
+	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0}, uint8(2)) // sparse words (sig)
 	f.Add([]byte{0xff, 0x00, 0x7f, 0x80, 0x01, 0xfe, 0x55, 0xaa}, uint8(0))
 	f.Fuzz(func(t *testing.T, data []byte, encSel uint8) {
 		name := []string{"zlib", "rle", "sig", "huff"}[int(encSel)%4]

@@ -29,7 +29,7 @@ func goldenGrid() *grid.Grid {
 	state := uint32(0x2545F491)
 	for _, b := range g.Blocks {
 		for i := 0; i < n*n*n; i++ {
-			state = state*1664525 + 1013904223 // Numerical Recipes LCG
+			state = state*1664525 + 1013904223    // Numerical Recipes LCG
 			v := float32(int32(state>>20) - 2048) // integers in [-2048, 2048)
 			cell := b.Data[i*physics.NQ : (i+1)*physics.NQ]
 			cell[physics.QG] = v

@@ -106,12 +106,6 @@ func CLoad(c *Counter, s []float64) CVec {
 	return CVec{V: qpx.Load4(s), C: c}
 }
 
-// CLoadF counts a single-precision vector load with widening.
-func CLoadF(c *Counter, s []float32) CVec {
-	c.Counts[OpLoad]++
-	return CVec{V: qpx.Load4f(s), C: c}
-}
-
 // Store counts a vector store.
 func (a CVec) Store(s []float64) {
 	a.C.Counts[OpStore]++

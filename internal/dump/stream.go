@@ -23,16 +23,22 @@ type Frame struct {
 // FrameSink consumes assembled frames on the sink rank.
 type FrameSink func(Frame) error
 
-// FrameRecord is the JSONL shape of one streamed frame in a frame log
-// (mpcf-sim -frame-log): Data is the full file image, base64 in JSON. The
-// service tails these records back into "frame" events.
+// FrameRecord is the serialized frame: one line of a frame log (mpcf-sim
+// -frame-log) and the payload of a job's "frame" event. Data is the full
+// file image, base64 in JSON.
 type FrameRecord struct {
 	Name     string  `json:"name"`
 	Step     int     `json:"step"`
 	Quantity string  `json:"quantity"`
-	Time     float64 `json:"time"`
+	Time     float64 `json:"t"`
 	Bytes    int     `json:"bytes"`
 	Data     []byte  `json:"data"`
+}
+
+// Record returns the frame's serialized form.
+func (f Frame) Record() FrameRecord {
+	return FrameRecord{Name: f.Name, Step: f.Step, Quantity: f.Quantity,
+		Time: f.Time, Bytes: len(f.Data), Data: f.Data}
 }
 
 // streamChunkSize is the target payload chunk size on the wire. Chunks grow

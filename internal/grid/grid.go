@@ -185,12 +185,6 @@ func (g *Grid) Cell(ix, iy, iz, q int) float32 {
 	return b.Get(ix%g.N, iy%g.N, iz%g.N, q)
 }
 
-// SetCell assigns quantity q at box-global cell coordinates.
-func (g *Grid) SetCell(ix, iy, iz, q int, v float32) {
-	b := g.byPos[[3]int{ix / g.N, iy / g.N, iz / g.N}]
-	b.Set(ix%g.N, iy%g.N, iz%g.N, q, v)
-}
-
 // ClearHalos drops every installed ghost slab on every owned block (faces
 // resolved locally or through boundary conditions use none).
 func (g *Grid) ClearHalos() {
@@ -216,9 +210,6 @@ func (b *Block) SetHalo(f Face, data []float32) {
 	}
 	b.halos[f] = data
 }
-
-// Halo returns the installed ghost slab for face f of this block, or nil.
-func (b *Block) Halo(f Face) []float32 { return b.halos[f] }
 
 // ClearHalos drops the block's installed ghost slabs.
 func (b *Block) ClearHalos() {

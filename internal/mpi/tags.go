@@ -14,7 +14,7 @@ import (
 // transport keeps for control frames), with class-specific payload bits
 // beneath:
 //
-//	ghost:   0x01 | stage | face  (stage in bits 8..15, face in bits 0..7)
+//	(0x01, the retired per-face ghost class, is unused)
 //	coll:    0x02 | seq&0xFFFF    (per-rank collective sequence number)
 //	stream:  0x03 | n             (side channel n: net benchmark, observatory)
 //	ghostB:  0x04 | block | face | stage  (per-block halo messages of the
@@ -26,7 +26,6 @@ import (
 //	         rank: frame sequence in bits 8..23, part in bits 0..7 with
 //	         part 0 the metadata message and 1..255 the payload chunks)
 const (
-	classGhost   = 0x01 << 24
 	classColl    = 0x02 << 24
 	classStream  = 0x03 << 24
 	classGhostB  = 0x04 << 24
@@ -36,19 +35,10 @@ const (
 	classMask = 0xFF << 24
 )
 
-// TagGhost returns the tag for the ghost-halo message crossing the given
-// face at the given RK stage.
-func TagGhost(face, stage int) int {
-	if face < 0 || face > 0xFF || stage < 0 || stage > 0xFF {
-		panic(fmt.Sprintf("mpi: ghost tag out of range (face %d, stage %d)", face, stage))
-	}
-	return classGhost | stage<<8 | face
-}
-
 // TagGhostBlock returns the tag of the halo message feeding the given face
-// of the given block (canonical linear id) at the given RK stage — the
-// per-block generalization of TagGhost for layouts where a rank exchanges
-// several blocks with the same peer across one face direction. The block id
+// of the given block (canonical linear id) at the given RK stage, so a rank
+// that exchanges several blocks with the same peer across one face
+// direction keeps the messages apart. The block id
 // is bounded at 2^19 global blocks (production: 32³ = 2^15).
 func TagGhostBlock(block int64, face, stage int) int {
 	if block < 0 || block >= 1<<19 || face < 0 || face > 5 || stage < 0 || stage > 3 {

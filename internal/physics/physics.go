@@ -32,9 +32,6 @@ const (
 	QP = 6 // Π = γ p_c/(γ-1)
 )
 
-// QuantityNames maps quantity index to a short name used in dumps and tools.
-var QuantityNames = [NQ]string{"rho", "ru", "rv", "rw", "E", "G", "P"}
-
 // Material describes one pure phase by its specific heat ratio and
 // correction pressure.
 type Material struct {

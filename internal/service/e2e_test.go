@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"cubism/internal/scenario"
+	"cubism/internal/sim"
 	"cubism/internal/telemetry"
 )
 
@@ -39,42 +40,111 @@ func postSpec(t *testing.T, base string, spec JobSpec, wantCode int) Status {
 }
 
 // subscribe follows one job's event stream to completion and returns
-// every event received.
-func subscribe(t *testing.T, base, id string) []Event {
+// every event received, decoded and as its wire line.
+func subscribe(t *testing.T, base, id string) ([]Event, []json.RawMessage) {
 	t.Helper()
 	resp, err := http.Get(base + "/v1/jobs/" + id + "/events")
 	if err != nil {
 		t.Errorf("subscribe %s: %v", id, err)
-		return nil
+		return nil, nil
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("subscribe %s: status %d", id, resp.StatusCode)
-		return nil
+		return nil, nil
 	}
 	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
 		t.Errorf("subscribe %s: content type %q", id, ct)
 	}
 	var evs []Event
+	var lines []json.RawMessage
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
 	for sc.Scan() {
 		var e Event
 		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
 			t.Errorf("subscribe %s: bad event line %q: %v", id, sc.Text(), err)
-			return evs
+			return evs, lines
 		}
 		evs = append(evs, e)
+		lines = append(lines, bytes.Clone(sc.Bytes()))
 	}
-	return evs
+	return evs, lines
+}
+
+// legacyStepEvent is the service's former step-event shape, which held the
+// physics subset of the step record under the same keys. A step event must
+// still carry each of its keys.
+type legacyStepEvent struct {
+	Step   int     `json:"step"`
+	T      float64 `json:"t"`
+	DT     float64 `json:"dt"`
+	WallMS float64 `json:"wall_ms,omitempty"`
+
+	HasDiag       bool    `json:"has_diag,omitempty"`
+	MaxPressure   float64 `json:"max_p,omitempty"`
+	WallPressure  float64 `json:"wall_p,omitempty"`
+	KineticEnergy float64 `json:"kinetic_energy,omitempty"`
+	EquivRadius   float64 `json:"equiv_radius,omitempty"`
+}
+
+// checkStepEvents asserts a job's step events on the wire are the step
+// records of a direct run of the same case: every legacy key present, the
+// physics values bitwise equal, and the kernel times present.
+func checkStepEvents(t *testing.T, id string, lines []json.RawMessage, direct []sim.StepInfo) {
+	t.Helper()
+	k := 0
+	for _, line := range lines {
+		var ev struct {
+			Type string                     `json:"type"`
+			Step map[string]json.RawMessage `json:"step"`
+		}
+		if err := json.Unmarshal(line, &ev); err != nil {
+			t.Fatal(err)
+		}
+		if ev.Type != "step" {
+			continue
+		}
+		if k >= len(direct) {
+			t.Fatalf("job %s: more step events than the direct run's %d steps", id, len(direct))
+		}
+		d := direct[k]
+		k++
+		legacy := legacyStepEvent{Step: d.Step, T: d.Time, DT: d.DT, WallMS: 1,
+			HasDiag: d.HasDiag}
+		if d.HasDiag {
+			legacy.MaxPressure, legacy.WallPressure = d.Diag.MaxPressure, d.Diag.WallPressure
+			legacy.KineticEnergy, legacy.EquivRadius = d.Diag.KineticEnergy, d.Diag.EquivRadius
+		}
+		b, _ := json.Marshal(legacy)
+		var want map[string]json.RawMessage
+		json.Unmarshal(b, &want)
+		for key, v := range want {
+			got, ok := ev.Step[key]
+			if !ok {
+				t.Fatalf("job %s step %d: key %q missing from %s", id, d.Step, key, line)
+			}
+			if key != "wall_ms" && !bytes.Equal(got, v) {
+				t.Fatalf("job %s step %d: %q = %s, direct run %s", id, d.Step, key, got, v)
+			}
+		}
+		var kernels map[string]float64
+		if json.Unmarshal(ev.Step["kernel_ms"], &kernels) != nil || len(kernels) == 0 {
+			t.Fatalf("job %s step %d: no kernel times in %s", id, d.Step, line)
+		}
+	}
+	if k != len(direct) {
+		t.Fatalf("job %s: %d step events, direct run %d steps", id, k, len(direct))
+	}
 }
 
 // TestServiceEndToEnd is the acceptance drill: four tenants concurrently
 // submit cloud, shockbubble and array jobs over the REST API (one tenant
 // doubled up to exercise its running cap), every job streams its full
 // event log to two concurrent subscribers, and each job's final
-// observables are bitwise identical to a direct scenario-engine run of
-// the same parameters — the service adds orchestration, not physics.
+// observables and step records are bitwise identical to a direct
+// scenario-engine run of the same parameters — the service adds
+// orchestration, not physics.
 func TestServiceEndToEnd(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	s := newTestService(t, Config{Workers: 3, TenantRunning: 1, Registry: reg})
@@ -119,12 +189,13 @@ func TestServiceEndToEnd(t *testing.T) {
 
 	// Two concurrent subscribers per job, attached while the jobs run.
 	streams := make([][]Event, 2*len(ids))
+	lines := make([][]json.RawMessage, 2*len(ids))
 	for i, id := range ids {
 		for sub := 0; sub < 2; sub++ {
 			wg.Add(1)
 			go func(slot int, id string) {
 				defer wg.Done()
-				streams[slot] = subscribe(t, ts.URL, id)
+				streams[slot], lines[slot] = subscribe(t, ts.URL, id)
 			}(2*i+sub, id)
 		}
 	}
@@ -181,8 +252,9 @@ func TestServiceEndToEnd(t *testing.T) {
 			s2.Started, s1.Finished)
 	}
 
-	// Bitwise-identical observables: the service-run metric map must match
-	// a direct scenario-engine run of the same parameters bit for bit.
+	// Bitwise-identical observables and step physics: the service-run
+	// metric map and step events must match a direct scenario-engine run of
+	// the same parameters bit for bit.
 	for i, id := range ids {
 		resp, err := http.Get(ts.URL + "/v1/jobs/" + id + "/observables")
 		if err != nil || resp.StatusCode != http.StatusOK {
@@ -198,10 +270,12 @@ func TestServiceEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, _, _, err := c.Run(nil)
+		var direct []sim.StepInfo
+		want, _, _, err := c.Run(func(st sim.StepInfo) { direct = append(direct, st) })
 		if err != nil {
 			t.Fatalf("direct run of %s: %v", specs[i].Scenario, err)
 		}
+		checkStepEvents(t, id, lines[2*i], direct)
 		if len(got) != len(want) {
 			t.Fatalf("job %s: observables keys %d vs direct %d\nservice: %v\ndirect:  %v",
 				id, len(got), len(want), got, want)

@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
@@ -11,10 +12,46 @@ import (
 	"cubism/internal/dump"
 )
 
+// frameKeys are the keys of a frame event's "frame" object on the wire.
+var frameKeys = []string{"name", "step", "quantity", "t", "bytes", "data"}
+
+// wireKeys returns the keys of the named object field of e's JSON form.
+func wireKeys(t *testing.T, e Event, field string) map[string]json.RawMessage {
+	t.Helper()
+	b, err := json.Marshal(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var outer map[string]json.RawMessage
+	var inner map[string]json.RawMessage
+	if err := json.Unmarshal(b, &outer); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(outer[field], &inner); err != nil {
+		t.Fatalf("event %s has no %q object: %v", b, field, err)
+	}
+	return inner
+}
+
+// checkFrameKeys asserts a frame event carries exactly frameKeys.
+func checkFrameKeys(t *testing.T, e Event) {
+	t.Helper()
+	keys := wireKeys(t, e, "frame")
+	for _, k := range frameKeys {
+		if _, ok := keys[k]; !ok {
+			t.Fatalf("frame event lacks key %q: %v", k, keys)
+		}
+	}
+	if len(keys) != len(frameKeys) {
+		t.Fatalf("frame event keys %v, want exactly %v", keys, frameKeys)
+	}
+}
+
 // TestInprocJobStreamsFrames: a job with dump_every set streams every
 // compressed dump as a "frame" event whose payload is bitwise identical to
 // the dump file in the job's artifact directory, and whose decoded fields
-// match the file's decoded fields exactly.
+// match the file's decoded fields exactly. Each frame event carries exactly
+// the frame-record keys.
 func TestInprocJobStreamsFrames(t *testing.T) {
 	s := newTestService(t, Config{Workers: 1})
 	spec := fastSpec("alice", "")
@@ -44,6 +81,7 @@ func TestInprocJobStreamsFrames(t *testing.T) {
 		if f == nil || f.Name == "" || len(f.Data) == 0 {
 			t.Fatalf("frame event missing payload: %+v", f)
 		}
+		checkFrameKeys(t, e)
 		if f.Bytes != len(f.Data) {
 			t.Fatalf("frame %s claims %d bytes, carries %d", f.Name, f.Bytes, len(f.Data))
 		}
@@ -61,9 +99,9 @@ func TestInprocJobStreamsFrames(t *testing.T) {
 		if err != nil {
 			t.Fatalf("decoding frame %s: %v", f.Name, err)
 		}
-		if hdr.Step != f.Step || hdr.Quantity != f.Quantity || hdr.Time != f.T {
+		if hdr.Step != f.Step || hdr.Quantity != f.Quantity || hdr.Time != f.Time {
 			t.Fatalf("frame %s metadata %d/%s/%g disagrees with header %d/%s/%g",
-				f.Name, f.Step, f.Quantity, f.T, hdr.Step, hdr.Quantity, hdr.Time)
+				f.Name, f.Step, f.Quantity, f.Time, hdr.Step, hdr.Quantity, hdr.Time)
 		}
 		fileHdr, fileComps, err := dump.Decode(fileData)
 		if err != nil {
@@ -105,7 +143,7 @@ func TestInprocJobStreamsFrames(t *testing.T) {
 
 // TestFleetFrameTail: a fleet job with dump_every set gets -frame-log in
 // its rank args, and the service tails the records the rank-0 sink appends
-// back into frame events with the payload intact.
+// back into frame events with the payload and the keys intact.
 func TestFleetFrameTail(t *testing.T) {
 	s := fleetService(t, false)
 	spec := fastSpec("alice", "")
@@ -122,10 +160,11 @@ func TestFleetFrameTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got *FrameEvent
+	var got *dump.FrameRecord
 	for _, e := range evs {
 		if e.Type == "frame" {
 			got = e.Frame
+			checkFrameKeys(t, e)
 		}
 	}
 	if got == nil {

@@ -8,7 +8,7 @@ import (
 	"time"
 
 	"cubism/internal/dump"
-	"cubism/internal/sim"
+	"cubism/internal/telemetry"
 )
 
 // JobState is the lifecycle state of a job.
@@ -44,8 +44,8 @@ type Event struct {
 	Reason string   `json:"reason,omitempty"`
 	Error  string   `json:"error,omitempty"`
 
-	// Step carries the per-step physics record ("step" events).
-	Step *StepEvent `json:"step,omitempty"`
+	// Step carries the step-log record of one step ("step" events).
+	Step *telemetry.StepRecord `json:"step,omitempty"`
 
 	// Line is one process-output line of a fleet job ("log" events).
 	Line string `json:"line,omitempty"`
@@ -53,36 +53,10 @@ type Event struct {
 	// Observables is the final collapse metric map ("observables" events).
 	Observables map[string]float64 `json:"observables,omitempty"`
 
-	// Frame carries one streamed compressed snapshot ("frame" events).
-	Frame *FrameEvent `json:"frame,omitempty"`
-}
-
-// FrameEvent is one streamed compressed dump on the event stream: Data is
-// the complete dump-file image (bitwise identical to the file in the job's
-// artifact directory), base64-encoded on the wire, decodable with
-// dump.Decode.
-type FrameEvent struct {
-	Name     string  `json:"name"`
-	Step     int     `json:"step"`
-	Quantity string  `json:"quantity"`
-	T        float64 `json:"t"`
-	Bytes    int     `json:"bytes"`
-	Data     []byte  `json:"data"`
-}
-
-// StepEvent is the streamed per-step record: step counter, simulated
-// time, and the Figure-5 diagnostics when that step computed them.
-type StepEvent struct {
-	Step   int     `json:"step"`
-	T      float64 `json:"t"`
-	DT     float64 `json:"dt"`
-	WallMS float64 `json:"wall_ms,omitempty"`
-
-	HasDiag       bool    `json:"has_diag,omitempty"`
-	MaxPressure   float64 `json:"max_p,omitempty"`
-	WallPressure  float64 `json:"wall_p,omitempty"`
-	KineticEnergy float64 `json:"kinetic_energy,omitempty"`
-	EquivRadius   float64 `json:"equiv_radius,omitempty"`
+	// Frame carries one streamed compressed snapshot ("frame" events): the
+	// complete dump-file image, bitwise identical to the file in the job's
+	// artifact directory and decodable with dump.Decode.
+	Frame *dump.FrameRecord `json:"frame,omitempty"`
 }
 
 // Job is one submitted simulation. All mutable state is guarded by mu;
@@ -179,25 +153,14 @@ func (j *Job) setState(s JobState, reason, errMsg string) {
 	}
 }
 
-// emitStep streams one sim step.
-func (j *Job) emitStep(s sim.StepInfo) {
-	ev := &StepEvent{Step: s.Step, T: s.Time, DT: s.DT, WallMS: s.WallMS}
-	if s.HasDiag {
-		ev.HasDiag = true
-		ev.MaxPressure = s.Diag.MaxPressure
-		ev.WallPressure = s.Diag.WallPressure
-		ev.KineticEnergy = s.Diag.KineticEnergy
-		ev.EquivRadius = s.Diag.EquivRadius
-	}
-	j.emit(Event{Type: "step", Step: ev})
+// emitStep streams one step record.
+func (j *Job) emitStep(rec telemetry.StepRecord) {
+	j.emit(Event{Type: "step", Step: &rec})
 }
 
-// emitFrame streams one compressed dump frame.
-func (j *Job) emitFrame(f dump.Frame) {
-	j.emit(Event{Type: "frame", Frame: &FrameEvent{
-		Name: f.Name, Step: f.Step, Quantity: f.Quantity,
-		T: f.Time, Bytes: len(f.Data), Data: f.Data,
-	}})
+// emitFrame streams one frame record.
+func (j *Job) emitFrame(rec dump.FrameRecord) {
+	j.emit(Event{Type: "frame", Frame: &rec})
 }
 
 // setObservables records the final metric map and streams it.

@@ -610,7 +610,7 @@ func (s *Service) runInproc(j *Job) (stopped bool, err error) {
 		// dump-file image, bitwise identical to the file beside it.
 		cfg.DumpDir = j.Dir
 		cfg.FrameSink = func(f dump.Frame) error {
-			j.emitFrame(f)
+			j.emitFrame(f.Record())
 			return nil
 		}
 	}
@@ -619,7 +619,7 @@ func (s *Service) runInproc(j *Job) (stopped bool, err error) {
 	obs := scenario.NewObserver(c)
 	sum, err := sim.Run(cfg, func(st sim.StepInfo) {
 		obs.OnStep(st)
-		j.emitStep(st)
+		j.emitStep(st.Record())
 	})
 	if err != nil {
 		return false, err
@@ -647,7 +647,17 @@ func (s *Service) runFleet(j *Job) (stopped bool, err error) {
 		return false, err
 	}
 	stepLogPath := filepath.Join(j.Dir, "steps.jsonl")
+	frameLogPath := filepath.Join(j.Dir, "frames.jsonl")
 	obsPath := filepath.Join(j.Dir, "observables.json")
+	// A requeued drained job runs again in the same directory: clear the
+	// previous attempt's rank-0 artifacts, or the tails would replay its
+	// steps and frames and a rank 0 that dies early would report its
+	// observables.
+	for _, p := range []string{stepLogPath, frameLogPath, obsPath} {
+		if err := os.Remove(p); err != nil && !errors.Is(err, os.ErrNotExist) {
+			return false, err
+		}
+	}
 	fl, err := launch.Start(launch.Spec{
 		N:      j.Spec.RankProduct(),
 		SimBin: s.cfg.SimBin,
@@ -679,7 +689,7 @@ func (s *Service) runFleet(j *Job) (stopped bool, err error) {
 	go tailStepLog(stepLogPath, tailStop, tailDone, j)
 	frameDone := make(chan struct{})
 	if j.Spec.Params.DumpEvery > 0 {
-		go tailFrameLog(filepath.Join(j.Dir, "frames.jsonl"), tailStop, frameDone, j)
+		go tailFrameLog(frameLogPath, tailStop, frameDone, j)
 	} else {
 		close(frameDone)
 	}
@@ -756,34 +766,26 @@ func (s *Service) fleetArgs(j *Job, c *scenario.Case) []string {
 
 func triple(t [3]int) string { return fmt.Sprintf("%d,%d,%d", t[0], t[1], t[2]) }
 
-// tailStepLog polls rank 0's JSONL step log and re-emits each record as a
-// step event; after stop it drains whatever the final flush appended.
+// tailStepLog polls rank 0's JSONL step log and emits each decoded record
+// as a step event; after stop it drains whatever the final flush appended.
 func tailStepLog(path string, stop <-chan struct{}, done chan<- struct{}, j *Job) {
 	tailJSONL(path, stop, done, func(line []byte) {
 		var rec telemetry.StepRecord
-		if json.Unmarshal(line, &rec) != nil {
-			return
+		if json.Unmarshal(line, &rec) == nil {
+			j.emitStep(rec)
 		}
-		j.emit(Event{Type: "step", Step: &StepEvent{
-			Step: rec.Step, T: rec.Time, DT: rec.DT, WallMS: rec.WallMS,
-			HasDiag:     rec.HasDiag,
-			MaxPressure: rec.MaxPressure, WallPressure: rec.WallPressure,
-			KineticEnergy: rec.KineticEnergy, EquivRadius: rec.EquivRadius,
-		}})
 	})
 }
 
 // tailFrameLog polls the frame log the fleet's rank-0 sink appends
-// (mpcf-sim -frame-log) and re-emits each record as a frame event carrying
-// the complete dump-file bytes.
+// (mpcf-sim -frame-log) and emits each decoded record as a frame event
+// carrying the complete dump-file bytes.
 func tailFrameLog(path string, stop <-chan struct{}, done chan<- struct{}, j *Job) {
 	tailJSONL(path, stop, done, func(line []byte) {
 		var rec dump.FrameRecord
-		if json.Unmarshal(line, &rec) != nil {
-			return
+		if json.Unmarshal(line, &rec) == nil {
+			j.emitFrame(rec)
 		}
-		j.emitFrame(dump.Frame{Name: rec.Name, Step: rec.Step,
-			Quantity: rec.Quantity, Time: rec.Time, Data: rec.Data})
 	})
 }
 

@@ -41,8 +41,9 @@ func argVal(name string) string {
 }
 
 // fakeSim emulates one mpcf-sim rank: a rank given -step-log writes the
-// structured step log, rank 0 the observables artifact; hang mode blocks until SIGINT and
-// exits 130 like a graceful boundary stop.
+// structured step log, rank 0 the observables artifact and the frame log;
+// hang mode blocks until SIGINT and exits 130 like a graceful boundary
+// stop, and MPCF_SERVICE_FAKE_DELAY holds the writes back by a duration.
 func fakeSim() {
 	rank, _ := strconv.Atoi(argVal("rank"))
 	if os.Getenv("MPCF_SERVICE_FAKE_HANG") != "" {
@@ -51,7 +52,10 @@ func fakeSim() {
 		<-ch
 		os.Exit(130)
 	}
-	// Like mpcf-sim, any rank given a -step-log writes one.
+	if d, err := time.ParseDuration(os.Getenv("MPCF_SERVICE_FAKE_DELAY")); err == nil {
+		time.Sleep(d)
+	}
+	// Like mpcf-sim, any rank given a -step-log truncates and writes one.
 	if p := argVal("step-log"); p != "" {
 		f, err := os.Create(p)
 		if err == nil {
@@ -67,11 +71,13 @@ func fakeSim() {
 			os.WriteFile(p, []byte(`{"peak_amp": 2.5, "non_finite": 0}`+"\n"), 0o644)
 		}
 		if p := argVal("frame-log"); p != "" {
-			rec, _ := json.Marshal(dump.FrameRecord{
-				Name: "p_step000002.mpcf", Step: 2, Quantity: "p",
-				Time: 0.002, Bytes: len(fakeFramePayload()), Data: fakeFramePayload(),
-			})
-			os.WriteFile(p, append(rec, '\n'), 0o644)
+			// mpcf-sim appends to the frame log.
+			rec, _ := json.Marshal(dump.Frame{Name: "p_step000002.mpcf", Step: 2,
+				Quantity: "p", Time: 0.002, Data: fakeFramePayload()}.Record())
+			if f, err := os.OpenFile(p, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644); err == nil {
+				f.Write(append(rec, '\n'))
+				f.Close()
+			}
 		}
 		fmt.Println("fake rank 0 done")
 	}
@@ -480,6 +486,76 @@ func TestFleetJobRunsAndStreams(t *testing.T) {
 	// schedule, so the other ranks need no throwaway step log.
 	if _, err := os.Stat(filepath.Join(j.Dir, "steps.rank1.jsonl")); !os.IsNotExist(err) {
 		t.Fatalf("rank 1 wrote a step log (stat: %v)", err)
+	}
+}
+
+// TestFleetResumeStartsWithCleanLogs: a requeued drained fleet job runs
+// again in its old directory. The previous attempt's rank-0 step log, frame
+// log and observables must not reach the new attempt's events, even when
+// the new rank 0 writes its own only after the tails have started polling.
+func TestFleetResumeStartsWithCleanLogs(t *testing.T) {
+	s := fleetService(t, false)
+	t.Setenv("MPCF_SERVICE_FAKE_DELAY", "300ms") // several 50 ms tail ticks
+	spec := fastSpec("alice", "")
+	spec.Params.Ranks = [3]int{2, 1, 1}
+	spec.Params.DumpEvery = 2
+	dir := filepath.Join(s.cfg.DataDir, "jobs", spec.ID())
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	var stale []byte
+	for i := 1; i <= 5; i++ {
+		stale = fmt.Appendf(stale, `{"step":%d,"t":%g,"dt":0.001,"has_diag":true,"max_p":-1}`+"\n",
+			i, float64(i)*0.001)
+	}
+	staleFrame, _ := json.Marshal(dump.Frame{Name: "p_step000001.mpcf", Step: 1,
+		Quantity: "p", Time: 0.001, Data: []byte("stale")}.Record())
+	for name, data := range map[string][]byte{
+		"steps.jsonl":      stale,
+		"frames.jsonl":     append(staleFrame, '\n'),
+		"observables.json": []byte(`{"peak_amp": -1}` + "\n"),
+	} {
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	j, _, err := s.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j.Dir != dir {
+		t.Fatalf("job dir %s, want %s", j.Dir, dir)
+	}
+	if st := waitTerminal(t, j, 30*time.Second); st != StateSucceeded {
+		t.Fatalf("fleet job ended %s", st)
+	}
+	evs, _, err := j.EventsSince(context.Background(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var steps []int
+	var frames []string
+	for _, e := range evs {
+		switch e.Type {
+		case "step":
+			if e.Step.MaxPressure != 100*float64(e.Step.Step) {
+				t.Errorf("step event %d carries max_p %g: a previous attempt's record",
+					e.Step.Step, e.Step.MaxPressure)
+			}
+			steps = append(steps, e.Step.Step)
+		case "frame":
+			frames = append(frames, e.Frame.Name)
+		}
+	}
+	if fmt.Sprint(steps) != "[1 2 3]" {
+		t.Fatalf("step events %v, want exactly this attempt's [1 2 3]", steps)
+	}
+	if fmt.Sprint(frames) != "[p_step000002.mpcf]" {
+		t.Fatalf("frame events %v, want exactly this attempt's [p_step000002.mpcf]", frames)
+	}
+	if obs := j.Observables(); obs["peak_amp"] != 2.5 {
+		t.Fatalf("observables %v, want this attempt's peak_amp 2.5", obs)
 	}
 }
 

@@ -1,8 +1,8 @@
 package sim
 
 // The sim side of the cluster-wide performance observatory: every rank
-// derives a per-phase PhaseSample from its perf monitor at each step
-// boundary and ships it — plus, on distributed worlds, its freshly drained
+// ships its step's phase times (StepInfo.PhaseMS) as a PhaseSample at each
+// step boundary — plus, on distributed worlds, its freshly drained
 // tracer spans and a counter snapshot — to the collector on rank 0 over a
 // dedicated observatory stream tag. The flush runs strictly between steps,
 // after the step's last ghost exchange opened a fresh tag epoch, so it can
@@ -14,9 +14,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"time"
 
-	"cubism/internal/cluster"
 	"cubism/internal/mpi"
 	"cubism/internal/telemetry"
 )
@@ -55,8 +53,6 @@ type observer struct {
 	agg *telemetry.Aggregator // rank 0 only
 	est []telemetry.ClockEstimator
 
-	prevKernel          map[string]time.Duration
-	prevGhost, prevWait time.Duration
 	sinceWrite, flushed int
 }
 
@@ -70,7 +66,6 @@ func newObserver(cfg ObserveConfig, comm *mpi.Comm, tracer *telemetry.Tracer,
 		distributed: distributed,
 		root:        comm.Rank() == 0,
 		ranks:       comm.Size(),
-		prevKernel:  map[string]time.Duration{},
 	}
 	if o.root {
 		o.agg = telemetry.NewAggregator(o.ranks)
@@ -110,37 +105,12 @@ func (o *observer) syncClocks() {
 	}
 }
 
-// sample derives this rank's per-phase accounting of the step just
-// completed: deltas of the perf monitor's cumulative kernel times plus the
-// cluster layer's communication-phase counters.
-func (o *observer) sample(r *cluster.Rank, step int, wallMS float64) telemetry.PhaseSample {
-	s := telemetry.PhaseSample{Step: step, WallMS: wallMS,
-		PhaseMS: map[string]float64{}}
-	for _, name := range r.Mon.Names() {
-		cur := r.Mon.Kernel(name).Stats().Total
-		if d := cur - o.prevKernel[name]; d > 0 {
-			s.PhaseMS[name] = float64(d.Nanoseconds()) / 1e6
-		}
-		o.prevKernel[name] = cur
-	}
-	ghost, wait := r.CommPhases()
-	if d := ghost - o.prevGhost; d > 0 {
-		s.PhaseMS["ghost_exchange"] = float64(d.Nanoseconds()) / 1e6
-	}
-	if d := wait - o.prevWait; d > 0 {
-		s.PhaseMS["halo_wait"] = float64(d.Nanoseconds()) / 1e6
-	}
-	o.prevGhost, o.prevWait = ghost, wait
-	return s
-}
-
-// flush runs the step-boundary exchange: every rank samples; non-root ranks
-// ship one batch to rank 0 (including drained spans and a counter snapshot
-// on distributed worlds — in-process worlds share one tracer and registry,
-// so shipping those would double-count); rank 0 ingests all batches and
-// periodically rewrites the artifacts.
-func (o *observer) flush(r *cluster.Rank, step int, wallMS float64) error {
-	s := o.sample(r, step, wallMS)
+// flush runs the step-boundary exchange of this rank's sample s: non-root
+// ranks ship one batch to rank 0 (including drained spans and a counter
+// snapshot on distributed worlds — in-process worlds share one tracer and
+// registry, so shipping those would double-count); rank 0 ingests all
+// batches and periodically rewrites the artifacts.
+func (o *observer) flush(s telemetry.PhaseSample) error {
 	if !o.root {
 		b := telemetry.RankBatch{Rank: o.comm.Rank(), Steps: []telemetry.PhaseSample{s}}
 		if o.distributed {
@@ -153,7 +123,7 @@ func (o *observer) flush(r *cluster.Rank, step int, wallMS float64) error {
 		for peer := 1; peer < o.ranks; peer++ {
 			b, err := telemetry.DecodeBatch(o.comm.RecvBytes(peer, mpi.TagObsBatch()))
 			if err != nil {
-				o.agg.MarkMissing(peer, step)
+				o.agg.MarkMissing(peer, s.Step)
 				continue
 			}
 			o.agg.AddBatch(b)

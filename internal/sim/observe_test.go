@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -139,6 +140,52 @@ func TestObservatoryInproc(t *testing.T) {
 	}
 	if rep.StepsObserved != 3 {
 		t.Fatalf("json report steps = %d, want 3", rep.StepsObserved)
+	}
+}
+
+// TestStepLogMatchesObservatory: the step log and the observatory read one
+// per-step phase measurement, so on a single rank every step's kernel_ms
+// equals the report's per-step phase averages, key for key.
+func TestStepLogMatchesObservatory(t *testing.T) {
+	cfg, _ := observeCfg(t.TempDir())
+	cfg.Cluster.RankDims = [3]int{1, 1, 1}
+	cfg.Cluster.Pipeline = true
+	var logBuf bytes.Buffer
+	cfg.Telemetry = &telemetry.Set{StepLog: telemetry.NewStepLogger(&logBuf)}
+	sum, err := Run(cfg, nil)
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	rep := sum.Observatory
+	dec := json.NewDecoder(&logBuf)
+	i := 0
+	for ; dec.More(); i++ {
+		var rec telemetry.StepRecord
+		if err := dec.Decode(&rec); err != nil {
+			t.Fatalf("step log: %v", err)
+		}
+		if i >= len(rep.Steps) || rep.Steps[i].Step != rec.Step {
+			t.Fatalf("step log record %d (step %d) has no report row", i, rec.Step)
+		}
+		phases := rep.Steps[i].Phases
+		if len(rec.KernelMS) != len(phases) {
+			t.Fatalf("step %d: kernel_ms %v, report phases %v", rec.Step, rec.KernelMS, phases)
+		}
+		for name, st := range phases {
+			if ms, ok := rec.KernelMS[name]; !ok || ms != st.AvgMS {
+				t.Fatalf("step %d phase %s: kernel_ms %v (present %v), report avg_ms %v",
+					rec.Step, name, ms, ok, st.AvgMS)
+			}
+		}
+		for _, name := range []string{"RHSUP", "ghost_exchange"} {
+			if _, ok := rec.KernelMS[name]; !ok {
+				t.Fatalf("step %d: kernel_ms lacks %s: %v", rec.Step, name, rec.KernelMS)
+			}
+		}
+	}
+	if i != cfg.Steps || rep.StepsObserved != cfg.Steps {
+		t.Fatalf("step log has %d records, report %d steps, want %d",
+			i, rep.StepsObserved, cfg.Steps)
 	}
 }
 

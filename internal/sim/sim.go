@@ -158,6 +158,61 @@ type StepInfo struct {
 	// FrameBytes is the number of streamed-frame bytes this rank moved
 	// over the TagDump channel when this step dumped with StreamFrames.
 	FrameBytes int64
+	// PhaseMS is this rank's wall-clock time per phase during this step in
+	// milliseconds: each perf-monitor kernel plus the cluster layer's
+	// ghost_exchange and halo_wait (which overlaps RHS/RHSUP, so the
+	// phases do not add up to WallMS). Phases that took no time are absent.
+	PhaseMS map[string]float64
+}
+
+// Record is the serialized step: the one shape the step log writes and the
+// job service streams.
+func (s StepInfo) Record() telemetry.StepRecord {
+	rec := telemetry.StepRecord{
+		Step: s.Step, Time: s.Time, DT: s.DT,
+		WallMS: s.WallMS, KernelMS: s.PhaseMS, Imbalance: s.Imbalance,
+		DumpRates: s.DumpRates, DumpMBps: s.DumpMBps,
+	}
+	if s.HasDiag {
+		rec.HasDiag = true
+		rec.MaxPressure = s.Diag.MaxPressure
+		rec.WallPressure = s.Diag.WallPressure
+		rec.KineticEnergy = s.Diag.KineticEnergy
+		rec.EquivRadius = s.Diag.EquivRadius
+	}
+	if s.HasTotals {
+		t := s.Totals
+		rec.HasTotals = true
+		rec.TotalMass = t.Mass
+		rec.TotalMom = []float64{t.MomX, t.MomY, t.MomZ}
+		rec.TotalEnergy = t.Energy
+		rec.GammaRange = []float64{t.GammaMin, t.GammaMax}
+		rec.PiRange = []float64{t.PiMin, t.PiMax}
+		rec.NonFinite = t.NonFinite
+	}
+	return rec
+}
+
+// phaseMeter takes a rank's per-step phase times: the deltas of its perf
+// monitor's cumulative kernel totals and of its communication-phase
+// counters since the previous step.
+type phaseMeter map[string]time.Duration
+
+// measure returns the phase times since the previous call, in ms.
+func (m phaseMeter) measure(r *cluster.Rank) map[string]float64 {
+	ghost, wait := r.CommPhases()
+	cur := map[string]time.Duration{"ghost_exchange": ghost, "halo_wait": wait}
+	for _, name := range r.Mon.Names() {
+		cur[name] = r.Mon.Kernel(name).Stats().Total
+	}
+	phases := map[string]float64{}
+	for name, t := range cur {
+		if d := t - m[name]; d > 0 {
+			phases[name] = float64(d.Nanoseconds()) / 1e6
+		}
+		m[name] = t
+	}
+	return phases
 }
 
 // Summary reports campaign-level results gathered on rank 0.
@@ -310,7 +365,7 @@ func Run(cfg Config, onStep func(StepInfo)) (Summary, error) {
 		}
 		root := comm.Rank() == 0
 		startStep := r.Step // non-zero after a checkpoint restore
-		prevKernel := map[string]time.Duration{}
+		meter := phaseMeter{}
 		var obs *observer
 		if cfg.Observe != nil {
 			obs = newObserver(*cfg.Observe, comm, cfg.Cluster.Tracer, reg,
@@ -409,13 +464,15 @@ func Run(cfg Config, onStep func(StepInfo)) (Summary, error) {
 			info.Imbalance = f.Imbalance
 			info.Diag, info.HasDiag = f.Diag, f.HasDiag
 			info.Totals, info.HasTotals = f.Totals, f.HasTotals
+			info.PhaseMS = meter.measure(r)
 			stepSpan.End()
 			info.WallMS = time.Since(stepStart).Seconds() * 1e3
 			if obs != nil {
 				// Step-boundary observatory flush: the step's last ghost
 				// exchange already opened a fresh tag epoch, so the batch
 				// and sync tags cannot collide with halo traffic.
-				if err := obs.flush(r, info.Step, info.WallMS); err != nil {
+				if err := obs.flush(telemetry.PhaseSample{Step: info.Step,
+					WallMS: info.WallMS, PhaseMS: info.PhaseMS}); err != nil {
 					fail(err)
 					return
 				}
@@ -462,36 +519,7 @@ func Run(cfg Config, onStep func(StepInfo)) (Summary, error) {
 					r.Mon.Export(reg, tel.PeakGFLOPS)
 				}
 				if stepLog != nil {
-					rec := telemetry.StepRecord{
-						Step: info.Step, Time: info.Time, DT: info.DT,
-						WallMS: info.WallMS, Imbalance: info.Imbalance,
-						DumpRates: info.DumpRates, DumpMBps: info.DumpMBps,
-						KernelMS: map[string]float64{},
-					}
-					for _, name := range r.Mon.Names() {
-						cur := r.Mon.Kernel(name).Stats().Total
-						if d := cur - prevKernel[name]; d > 0 {
-							rec.KernelMS[name] = float64(d.Nanoseconds()) / 1e6
-						}
-						prevKernel[name] = cur
-					}
-					if info.HasDiag {
-						rec.HasDiag = true
-						rec.MaxPressure = info.Diag.MaxPressure
-						rec.WallPressure = info.Diag.WallPressure
-						rec.KineticEnergy = info.Diag.KineticEnergy
-						rec.EquivRadius = info.Diag.EquivRadius
-					}
-					if info.HasTotals {
-						rec.HasTotals = true
-						rec.TotalMass = info.Totals.Mass
-						rec.TotalMom = []float64{info.Totals.MomX, info.Totals.MomY, info.Totals.MomZ}
-						rec.TotalEnergy = info.Totals.Energy
-						rec.GammaRange = []float64{info.Totals.GammaMin, info.Totals.GammaMax}
-						rec.PiRange = []float64{info.Totals.PiMin, info.Totals.PiMax}
-						rec.NonFinite = info.Totals.NonFinite
-					}
-					if err := stepLog.Log(rec); err != nil {
+					if err := stepLog.Log(info.Record()); err != nil {
 						fail(err)
 						return
 					}

@@ -87,7 +87,6 @@ type Aggregator struct {
 	mu       sync.Mutex
 	ranks    int
 	offsets  []int64 // peer tracer clock minus rank-0 tracer clock, ns
-	synced   []bool
 	spans    []SpanRecord
 	steps    map[int]map[int]PhaseSample // step -> rank -> sample
 	counters []map[string]float64
@@ -104,7 +103,6 @@ func NewAggregator(ranks int) *Aggregator {
 	return &Aggregator{
 		ranks:    ranks,
 		offsets:  make([]int64, ranks),
-		synced:   make([]bool, ranks),
 		steps:    make(map[int]map[int]PhaseSample),
 		counters: make([]map[string]float64, ranks),
 		limit:    defaultSpanLimit,
@@ -119,19 +117,7 @@ func (a *Aggregator) SetClockOffset(rank int, offsetNS int64) {
 	}
 	a.mu.Lock()
 	a.offsets[rank] = offsetNS
-	a.synced[rank] = true
 	a.mu.Unlock()
-}
-
-// ClockOffset returns the recorded offset for rank and whether a sync ever
-// completed for it.
-func (a *Aggregator) ClockOffset(rank int) (int64, bool) {
-	if a == nil || rank < 0 || rank >= a.ranks {
-		return 0, false
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.offsets[rank], a.synced[rank]
 }
 
 // AddSample records one rank's phase accounting of one step.

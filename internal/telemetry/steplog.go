@@ -14,8 +14,9 @@ type StepRecord struct {
 	Time   float64 `json:"t"`
 	DT     float64 `json:"dt"`
 	WallMS float64 `json:"wall_ms"`
-	// KernelMS is the wall-clock time each kernel spent during this step
-	// (rank 0), in milliseconds.
+	// KernelMS is rank 0's wall-clock time per phase during this step, in
+	// milliseconds: each perf kernel plus ghost_exchange and halo_wait
+	// (which overlaps RHS/RHSUP, so the phases do not add up to WallMS).
 	KernelMS map[string]float64 `json:"kernel_ms,omitempty"`
 	// Imbalance is the cross-rank step-time statistic max/avg − 1.
 	Imbalance float64 `json:"imbalance,omitempty"`

@@ -30,21 +30,11 @@ type TCPOptions struct {
 	Listen string
 
 	// DialTimeout bounds the whole rendezvous plus mesh construction
-	// (default 30s). ReadTimeout/WriteTimeout are per-frame I/O deadlines
-	// on established connections; a zero ReadTimeout falls back to
-	// PeerTimeout (wire silence longer than that means the peer is gone —
-	// heartbeats keep healthy-but-idle links alive). CloseTimeout bounds
-	// the graceful FIN drain in Close (default 10s).
-	DialTimeout  time.Duration
-	ReadTimeout  time.Duration
-	WriteTimeout time.Duration
-	CloseTimeout time.Duration
+	// (default 30s).
+	DialTimeout time.Duration
 
 	// MaxFrame bounds a single frame payload (default DefaultMaxFrame).
-	// SendQueue is the per-peer outgoing frame queue depth (default 256);
-	// Send blocks when the peer's queue is full (backpressure).
-	MaxFrame  int
-	SendQueue int
+	MaxFrame int
 
 	// Reliability knobs (docs/networking.md "Fault model and recovery").
 	//
@@ -52,19 +42,18 @@ type TCPOptions struct {
 	// so the peer's liveness deadline stays fresh (default 2s; negative
 	// disables). PeerTimeout is the failure-detection horizon: the longest
 	// the endpoint tolerates a silent or unreachable peer before declaring
-	// it lost (default 30s). RetransmitTimeout is the longest a sent frame
+	// it lost (default 30s); it is also the read deadline on established
+	// connections, since heartbeats keep healthy-but-idle links talking.
+	// RetransmitTimeout is the longest a sent frame
 	// may sit unacknowledged before the connection is presumed broken and
 	// recovered (default 3s; negative disables). MaxReconnect caps dial
 	// attempts per recovery episode (default 8; negative disables
 	// reconnection entirely, turning any connection fault into a peer
-	// failure). ResendQueue bounds the per-peer window of sent-but-unacked
-	// frames (default 1024); a full window pauses the writer until acks
-	// arrive.
+	// failure).
 	HeartbeatInterval time.Duration
 	PeerTimeout       time.Duration
 	RetransmitTimeout time.Duration
 	MaxReconnect      int
-	ResendQueue       int
 
 	// Fault, when non-nil, is consulted for every outgoing data frame and
 	// may corrupt the wire (drops, duplicates, reorders, bit-flips, resets,
@@ -88,19 +77,24 @@ type TCPOptions struct {
 	OnError func(error)
 }
 
+// Fixed endpoint sizes: sendQueue is the per-peer outgoing frame queue
+// depth (Send blocks when it is full: backpressure), resendQueue the
+// per-peer window of sent-but-unacked frames (a full window pauses the
+// writer until acks arrive), and closeTimeout bounds the graceful FIN
+// drain in Close.
+const (
+	sendQueue    = 256
+	resendQueue  = 1024
+	closeTimeout = 10 * time.Second
+)
+
 func (o *TCPOptions) withDefaults() TCPOptions {
 	v := *o
 	if v.DialTimeout <= 0 {
 		v.DialTimeout = 30 * time.Second
 	}
-	if v.CloseTimeout <= 0 {
-		v.CloseTimeout = 10 * time.Second
-	}
 	if v.MaxFrame <= 0 {
 		v.MaxFrame = DefaultMaxFrame
-	}
-	if v.SendQueue <= 0 {
-		v.SendQueue = 256
 	}
 	if v.HeartbeatInterval == 0 {
 		v.HeartbeatInterval = 2 * time.Second
@@ -113,9 +107,6 @@ func (o *TCPOptions) withDefaults() TCPOptions {
 	}
 	if v.MaxReconnect == 0 {
 		v.MaxReconnect = 8
-	}
-	if v.ResendQueue <= 0 {
-		v.ResendQueue = 1024
 	}
 	return v
 }
@@ -393,7 +384,7 @@ func (e *tcpEndpoint) addPeer(rank int, conn *net.TCPConn, peerRecvNext uint64) 
 	p := &peerConn{
 		rank:     rank,
 		conn:     conn,
-		out:      make(chan outFrame, e.opts.SendQueue),
+		out:      make(chan outFrame, sendQueue),
 		accepted: make(chan acceptedConn, 1),
 		done:     make(chan struct{}),
 		ackPing:  make(chan struct{}, 1),
@@ -551,14 +542,8 @@ func (e *tcpEndpoint) shutdownDone(p *peerConn) bool {
 // delivered in order exactly once, and acknowledged via the writer.
 func (e *tcpEndpoint) connReader(p *peerConn, conn *net.TCPConn, fail func(error)) bool {
 	br := bufio.NewReaderSize(conn, 256<<10)
-	rt := e.opts.ReadTimeout
-	if rt <= 0 {
-		rt = e.opts.PeerTimeout
-	}
 	for {
-		if rt > 0 {
-			conn.SetReadDeadline(time.Now().Add(rt))
-		}
+		conn.SetReadDeadline(time.Now().Add(e.opts.PeerTimeout))
 		src, tag, seq, payload, err := readFrame(br, e.opts.MaxFrame)
 		if err != nil {
 			if errors.Is(err, ErrChecksum) {
@@ -688,7 +673,7 @@ func (e *tcpEndpoint) connWriter(p *peerConn, conn *net.TCPConn, stop <-chan str
 		// reopen it) or after Close drained the queue.
 		src := p.out
 		p.mu.Lock()
-		if p.outClosed || len(p.unacked) >= e.opts.ResendQueue {
+		if p.outClosed || len(p.unacked) >= resendQueue {
 			src = nil
 		}
 		ready := p.finQueued && len(p.unacked) == 0 && p.peerFIN
@@ -725,7 +710,7 @@ func (e *tcpEndpoint) connWriter(p *peerConn, conn *net.TCPConn, stop <-chan str
 		coalesce:
 			for {
 				p.mu.Lock()
-				full := len(p.unacked) >= e.opts.ResendQueue
+				full := len(p.unacked) >= resendQueue
 				p.mu.Unlock()
 				if full {
 					break
@@ -860,9 +845,6 @@ func (e *tcpEndpoint) maybeAck(p *peerConn, conn *net.TCPConn, bw *bufio.Writer)
 
 // writeWire emits one frame verbatim.
 func (e *tcpEndpoint) writeWire(bw *bufio.Writer, conn *net.TCPConn, tag uint32, seq uint64, payload []byte) error {
-	if e.opts.WriteTimeout > 0 {
-		conn.SetWriteDeadline(time.Now().Add(e.opts.WriteTimeout))
-	}
 	var hdr [frameHeader]byte
 	putFrameHeader(&hdr, uint32(len(payload)), uint32(e.opts.Rank), tag, seq, payload)
 	if _, err := bw.Write(hdr[:]); err != nil {
@@ -881,9 +863,6 @@ func (e *tcpEndpoint) writeWire(bw *bufio.Writer, conn *net.TCPConn, tag uint32,
 // pristine payload but whose payload bytes carry one inverted bit — the
 // shared payload slice itself is never mutated.
 func (e *tcpEndpoint) writeWireFlipped(bw *bufio.Writer, conn *net.TCPConn, f wireFrame, bit uint64) error {
-	if e.opts.WriteTimeout > 0 {
-		conn.SetWriteDeadline(time.Now().Add(e.opts.WriteTimeout))
-	}
 	var hdr [frameHeader]byte
 	putFrameHeader(&hdr, uint32(len(f.payload)), uint32(e.opts.Rank), f.tag, f.seq, f.payload)
 	if _, err := bw.Write(hdr[:]); err != nil {
@@ -1096,12 +1075,12 @@ func (e *tcpEndpoint) Send(dst, tag int, payload []byte) error {
 
 // Close performs the graceful shutdown: FIN to every peer (sequenced, so it
 // survives reconnects and arrives exactly once), then wait — bounded by
-// CloseTimeout — for every FIN exchange to complete so in-flight frames in
+// closeTimeout — for every FIN exchange to complete so in-flight frames in
 // both directions are fully delivered.
 func (e *tcpEndpoint) Close() error {
 	e.closeOnce.Do(func() {
 		e.closed.Store(true)
-		deadline := time.Now().Add(e.opts.CloseTimeout)
+		deadline := time.Now().Add(closeTimeout)
 		for _, p := range e.peers {
 			if p == nil {
 				continue

@@ -308,7 +308,7 @@ func runRayleigh(mode Mode, opt Options) (*Result, error) {
 		pLiq   = 100 * physics.Bar
 		rhoVap = 1.0
 	)
-	pVap := physics.VaporInit.P // 0.0234 bar
+	pVap := physics.VaporInit.P                                  // 0.0234 bar
 	liquid := physics.Material{Gamma: 6.59, Pc: 2 * physics.Bar} // softened p_c
 	vapor := physics.Material{Gamma: 1.4, Pc: 0}
 

@@ -54,9 +54,9 @@ type Scenario struct {
 
 // Result is the outcome of one scenario.
 type Result struct {
-	Name        string            `json:"name"`
-	Description string            `json:"description"`
-	Mode        string            `json:"mode"`
+	Name        string `json:"name"`
+	Description string `json:"description"`
+	Mode        string `json:"mode"`
 	// Metrics is the flat namespace checked against tolerance bands; keys
 	// are metric names without the scenario prefix.
 	Metrics map[string]float64 `json:"metrics"`
