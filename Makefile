@@ -1,13 +1,14 @@
-# Verification targets; `make check` is the tier-1 gate plus vet and the
-# race-enabled telemetry/sim/cluster tests. `make verify` runs the full
+# Verification targets; `make check` is the tier-1 gate plus vet, the
+# race-enabled telemetry/sim/cluster tests, the portable (purego) build and
+# the arm64 cross-build. `make verify` runs the full
 # exact-solution verification ladder and writes VERIFY.json
 # (docs/verification.md).
 
 GO ?= go
 
-.PHONY: check vet build bin test race flake bench benchmark benchmark-smoke smoke-net verify verify-short fuzz-seed chaos obs-smoke service-smoke
+.PHONY: check vet build bin test race purego arm64 flake bench benchmark benchmark-smoke smoke-net verify verify-short fuzz-seed chaos obs-smoke service-smoke
 
-check: vet build test race
+check: vet build test race purego arm64
 
 # vet fails on any file gofmt would rewrite, then runs go vet.
 vet:
@@ -31,6 +32,20 @@ test:
 race:
 	$(GO) test -race ./internal/telemetry ./internal/sim ./internal/cluster ./internal/layout ./internal/node ./internal/transport ./internal/mpi ./internal/service ./internal/compress ./internal/dump
 	$(GO) test -race -count=50 -run TestPool ./internal/node
+
+# The portable build: the purego tag drops the assembly row kernel
+# (internal/core/wenorow_amd64.s), so every kernel runs its Go loop. The
+# solver packages must vet and pass their tests that way too.
+PUREGO_PKGS = ./internal/core ./internal/node ./internal/cluster
+purego:
+	$(GO) vet -tags purego $(PUREGO_PKGS)
+	$(GO) test -tags purego $(PUREGO_PKGS)
+
+# arm64 has no assembly kernel and no emulator here: cross-build everything
+# and vet the kernel package.
+arm64:
+	GOARCH=arm64 $(GO) build ./...
+	GOARCH=arm64 $(GO) vet ./internal/core
 
 # Flake sweep of the concurrency packages — the per-step collective
 # schedule (sim, cluster, mpi), the worker pool (node), the wire (transport,
@@ -147,4 +162,4 @@ verify-short:
 
 # Replay the checked-in fuzz seed corpora without fuzzing new inputs.
 fuzz-seed:
-	$(GO) test -run 'Fuzz' ./internal/compress ./internal/dump ./internal/checkpoint ./internal/transport ./internal/service ./internal/telemetry
+	$(GO) test -run 'Fuzz' ./internal/core ./internal/compress ./internal/dump ./internal/checkpoint ./internal/transport ./internal/service ./internal/telemetry

@@ -351,10 +351,10 @@ func BenchmarkTable8InstructionMix(b *testing.B) {
 
 // --- Table 9: staged vs fused WENO→HLLE ------------------------------------
 
-// BenchmarkTable9Staged times the non-fused baseline path.
+// BenchmarkTable9Staged times the per-face staged baseline path.
 func BenchmarkTable9Staged(b *testing.B) { benchRHS(b, false, true) }
 
-// BenchmarkTable9Fused times the micro-fused path.
+// BenchmarkTable9Fused times the default path, the row driver.
 func BenchmarkTable9Fused(b *testing.B) { benchRHS(b, false, false) }
 
 // BenchmarkTable9StagedQPX times the non-fused vector path.

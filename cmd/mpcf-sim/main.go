@@ -224,12 +224,6 @@ func parse(args []string) (*cli, error) {
 		cfg.Wall = cubism.ZLo
 		cfg.HasWall = true
 	}
-	// Frame streaming: the flags are uniform across a fleet (the streaming
-	// is collective), while the sink only ever runs on rank 0.
-	if *frameDir != "" || *frameLog != "" {
-		cfg.StreamFrames = true
-		cfg.FrameSink = frameSink(*frameDir, *frameLog)
-	}
 	if *obsTrace != "" || *obsReport != "" || *obsReportJSON != "" {
 		cfg.Observe = &cubism.ObserveConfig{TracePath: *obsTrace, ReportJSONPath: *obsReportJSON}
 		if *obsReport != "-" { // "-" is rendered to stderr after the run instead
@@ -270,27 +264,35 @@ func parse(args []string) (*cli, error) {
 	default:
 		return nil, fmt.Errorf("unknown transport %q (want inproc or tcp)", *transportName)
 	}
+	// Frame streaming: the flags are uniform across a fleet (the streaming
+	// is collective), while the sink only ever runs on rank 0. Rank 0
+	// creates (truncates) the frame log at start-up, like -step-log, so
+	// it holds one run's frames and a bad path fails before the run.
+	if *frameDir != "" || *frameLog != "" {
+		var logFile *os.File
+		if *frameLog != "" && (o.tcp == nil || o.tcp.Rank == 0) {
+			f, err := os.Create(*frameLog)
+			if err != nil {
+				return nil, fmt.Errorf("frame log: %w", err)
+			}
+			logFile = f
+		}
+		cfg.StreamFrames = true
+		cfg.FrameSink = frameSink(*frameDir, logFile)
+	}
 	return o, nil
 }
 
 // frameSink writes each streamed frame's raw bytes into dir and/or appends
-// its JSONL record to logPath (either may be empty).
-func frameSink(dir, logPath string) cubism.FrameSink {
-	var logFile *os.File
+// its JSONL record to logFile (either may be empty or nil).
+func frameSink(dir string, logFile *os.File) cubism.FrameSink {
 	return func(f cubism.Frame) error {
 		if dir != "" {
 			if err := os.WriteFile(filepath.Join(dir, f.Name), f.Data, 0o644); err != nil {
 				return err
 			}
 		}
-		if logPath != "" {
-			if logFile == nil {
-				var err error
-				logFile, err = os.OpenFile(logPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-				if err != nil {
-					return err
-				}
-			}
+		if logFile != nil {
 			rec, err := json.Marshal(f.Record())
 			if err != nil {
 				return err

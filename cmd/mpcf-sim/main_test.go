@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -109,5 +110,47 @@ func TestSumsWrittenOnFinish(t *testing.T) {
 	if lines := strings.Split(strings.TrimSpace(string(data)), "\n"); len(lines) != 11 ||
 		!strings.HasPrefix(lines[0], "mass ") || lines[10] != "nonfinite 0" {
 		t.Errorf("checksum file:\n%s", data)
+	}
+}
+
+// TestFrameLogHoldsOneRun: two runs given the same -frame-log path leave
+// only the second run's records; the log is truncated when the run starts,
+// as -step-log is.
+func TestFrameLogHoldsOneRun(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "frames.jsonl")
+	run := func(steps string) []cubism.FrameRecord {
+		o, err := parse([]string{"-case", "sod", "-blocks", "1,1,1", "-n", "8", "-steps", steps,
+			"-workers", "1", "-quiet", "-diag-every", "0", "-dump-every", "1", "-dump-dir", dir, "-frame-log", path})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cubism.Run(o.cfg, nil); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var recs []cubism.FrameRecord
+		for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+			var r cubism.FrameRecord
+			if err := json.Unmarshal([]byte(line), &r); err != nil {
+				t.Fatalf("frame log line %q: %v", line, err)
+			}
+			recs = append(recs, r)
+		}
+		return recs
+	}
+	first := run("3")
+	second := run("2")
+	if len(first) == 0 || len(second) >= len(first) {
+		t.Fatalf("first run logged %d frames, second %d; want the second run's frames alone, fewer than the first's",
+			len(first), len(second))
+	}
+	for _, r := range second {
+		if r.Step > 2 {
+			t.Errorf("frame of step %d survives from the first run", r.Step)
+		}
 	}
 }

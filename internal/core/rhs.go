@@ -10,19 +10,22 @@ import "cubism/internal/grid"
 // buffer, performs directional sweeps to evaluate the x-, y- and z-fluxes,
 // and writes the result back to the block's temporary area (BACK stage).
 //
-// Two code paths implement the WENO→HLLE pipeline:
+// Two drivers implement the WENO→HLLE pipeline:
 //
-//   - the micro-fused path (default) evaluates the reconstruction and the
-//     numerical flux per face in one pass, mixing the instructions of
-//     subsequent computational stages to increase temporal locality;
-//   - the staged path materializes all reconstructed face states of a sweep
-//     before running HLLE, the non-fused baseline of Table 9.
+//   - the row driver (default) reconstructs a whole row of faces at a time
+//     with the WENO5 row kernel (wenoRow) over unit-stride views of the
+//     slices — shifted views of one row in x, the rows around a face row in
+//     y, the six ring slices in z — and then runs the first-order fallback
+//     and HLLE face by face from the reconstructed rows;
+//   - the staged driver reconstructs and solves face by face per pencil,
+//     the non-fused baseline of Table 9 and the row driver's test oracle.
 //
-// The accumulator and flux planes are SoA so the scalar and vector drivers
-// share all bookkeeping; the BACK stage converts to the block's AoS layout.
+// Both produce the same bits. The accumulator and flux planes are SoA so
+// the scalar and vector drivers share all bookkeeping; the BACK stage
+// converts to the block's AoS layout.
 type RHS struct {
 	N      int
-	Staged bool // use the non-fused WENO→HLLE baseline path
+	Staged bool // use the per-face WENO→HLLE baseline driver
 
 	ring *Ring
 	// acc[q] accumulates the flux differences of quantity q; cell-major
@@ -30,10 +33,13 @@ type RHS struct {
 	acc [nq][]float64
 	// z-face flux planes (N² each) at the low and high face of the layer.
 	zPrev, zCur *fluxPlane
+	// y-face flux rows (N each) at the low and high face of a cell row
+	// (row driver).
+	yPrev, yCur *fluxPlane
 	// Per-row face flux buffer, padded to a multiple of the vector width.
 	row *fluxPlane
-	// Per-row reconstructed face states for the staged path: 7 quantities,
-	// minus and plus side.
+	// Reconstructed face states of one row of faces: 7 quantities in sweep
+	// order, minus and plus side.
 	stM, stP [nq][]float64
 }
 
@@ -65,6 +71,8 @@ func NewRHS(n int) *RHS {
 		ring:  NewRing(n),
 		zPrev: newFluxPlane(n * n),
 		zCur:  newFluxPlane(n * n),
+		yPrev: newFluxPlane(n),
+		yCur:  newFluxPlane(n),
 		row:   newFluxPlane((n + 1 + 3) &^ 3),
 	}
 	for q := 0; q < nq; q++ {
@@ -103,6 +111,7 @@ func (r *RHS) ComputeFused(lab *grid.Lab, h float64, u, reg []float32, a, b, dt 
 
 // sweep runs the directional flux sweeps over the lab, filling the SoA
 // accumulators with the summed flux differences (everything up to BACK).
+// Every cell receives its x, y and z terms in that order.
 func (r *RHS) sweep(lab *grid.Lab) {
 	n := r.N
 	for q := 0; q < nq; q++ {
@@ -114,15 +123,29 @@ func (r *RHS) sweep(lab *grid.Lab) {
 	for z := -sw; z <= sw-1; z++ {
 		r.ring.Load(lab, z)
 	}
-	r.computeZFace(0, r.zPrev)
+	r.zFace(0, r.zPrev)
 
 	for z := 0; z < n; z++ {
 		r.ring.Load(lab, z+sw)
-		r.xSweep(z)
-		r.ySweep(z)
-		r.computeZFace(z+1, r.zCur)
+		if r.Staged {
+			r.xSweep(z)
+			r.ySweep(z)
+		} else {
+			r.xRows(z)
+			r.yRows(z)
+		}
+		r.zFace(z+1, r.zCur)
 		r.accumulateZ(z)
 		r.zPrev, r.zCur = r.zCur, r.zPrev
+	}
+}
+
+// zFace fills dst with the fluxes across z-face f with the selected driver.
+func (r *RHS) zFace(f int, dst *fluxPlane) {
+	if r.Staged {
+		r.computeZFace(f, dst)
+	} else {
+		r.zRows(f, dst)
 	}
 }
 
@@ -193,26 +216,17 @@ func physical(s faceState) bool {
 }
 
 // lineSweep evaluates all face fluxes of one pencil of n cells (n+1 faces)
-// into r.row. o is the slice offset of cell 0 and st the stencil stride.
+// into r.row, staged: all reconstructed face states first (WENO stage),
+// then HLLE. o is the slice offset of cell 0 and st the stencil stride.
 func (r *RHS) lineSweep(zs *ZSlice, o, st int, un, ut1, ut2 []float64) {
 	n := r.N
-	if r.Staged {
-		// WENO stage: materialize all reconstructed face states.
-		for f := 0; f <= n; f++ {
-			m, p := reconstructFace(zs, o, f, st, un, ut1, ut2)
-			storeState(&r.stM, f, m)
-			storeState(&r.stP, f, p)
-		}
-		// HLLE stage.
-		for f := 0; f <= n; f++ {
-			r.row.store(f, hlleFace(loadState(&r.stM, f), loadState(&r.stP, f)))
-		}
-		return
-	}
-	// Micro-fused path: reconstruction and flux per face in one pass.
 	for f := 0; f <= n; f++ {
 		m, p := reconstructFace(zs, o, f, st, un, ut1, ut2)
-		r.row.store(f, hlleFace(m, p))
+		storeState(&r.stM, f, m)
+		storeState(&r.stP, f, p)
+	}
+	for f := 0; f <= n; f++ {
+		r.row.store(f, hlleFace(loadState(&r.stM, f), loadState(&r.stP, f)))
 	}
 }
 
@@ -334,22 +348,27 @@ func (r *RHS) computeZFace(f int, dst *fluxPlane) {
 func (r *RHS) accumulateZ(z int) {
 	n := r.N
 	zs := r.ring.At(z)
-	lo, hi := r.zPrev, r.zCur
 	for iy := 0; iy < n; iy++ {
-		o := zs.Idx(0, iy)
-		base := (z*n + iy) * n
-		for ix := 0; ix < n; ix++ {
-			j := iy*n + ix
-			ai := base + ix
-			si := o + ix
-			du := hi.ustar[j] - lo.ustar[j]
-			r.acc[qr][ai] -= hi.fr[j] - lo.fr[j]
-			r.acc[qw][ai] -= hi.fun[j] - lo.fun[j]
-			r.acc[qu][ai] -= hi.fut1[j] - lo.fut1[j]
-			r.acc[qv][ai] -= hi.fut2[j] - lo.fut2[j]
-			r.acc[qe][ai] -= hi.fe[j] - lo.fe[j]
-			r.acc[qg][ai] -= hi.fg[j] - lo.fg[j] - zs.G[si]*du
-			r.acc[qp][ai] -= hi.fpi[j] - lo.fpi[j] - zs.Pi[si]*du
-		}
+		r.accumulatePair(zs, (z*n+iy)*n, zs.Idx(0, iy), r.zPrev, r.zCur, iy*n, qw, qu, qv)
+	}
+}
+
+// accumulatePair adds the flux differences of one row of n cells between
+// their high faces hi[j0:] and low faces lo[j0:] (SUM stage of the y and z
+// sweeps). base is the accumulator index of cell 0 and so its slice offset;
+// qn/qt1/qt2 map the sweep-normal flux components to quantity indices.
+func (r *RHS) accumulatePair(zs *ZSlice, base, so int, lo, hi *fluxPlane, j0, qn, qt1, qt2 int) {
+	for i := 0; i < r.N; i++ {
+		j := j0 + i
+		ai := base + i
+		si := so + i
+		du := hi.ustar[j] - lo.ustar[j]
+		r.acc[qr][ai] -= hi.fr[j] - lo.fr[j]
+		r.acc[qn][ai] -= hi.fun[j] - lo.fun[j]
+		r.acc[qt1][ai] -= hi.fut1[j] - lo.fut1[j]
+		r.acc[qt2][ai] -= hi.fut2[j] - lo.fut2[j]
+		r.acc[qe][ai] -= hi.fe[j] - lo.fe[j]
+		r.acc[qg][ai] -= hi.fg[j] - lo.fg[j] - zs.G[si]*du
+		r.acc[qp][ai] -= hi.fpi[j] - lo.fpi[j] - zs.Pi[si]*du
 	}
 }

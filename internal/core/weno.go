@@ -1,8 +1,9 @@
 package core
 
 // Fifth-order Weighted Essentially Non-Oscillatory reconstruction
-// (Jiang & Shu 1996, paper ref. [42]), scalar variant. The vector variant
-// lives in weno_qpx.go and the micro-fused WENO+HLLE path in rhs drivers.
+// (Jiang & Shu 1996, paper ref. [42]), scalar variant. The row kernel over
+// unit-stride lanes (and its AVX2 twin) lives in wenorow.go, the vector
+// variant in weno_qpx.go.
 
 // wenoEps regularizes the smoothness indicators.
 const wenoEps = 1e-6

@@ -1,0 +1,11 @@
+//go:build !amd64 || purego
+
+package core
+
+// useAVX2 is false: this build has no assembly row kernel, and wenoRow runs
+// its Go loop on every lane.
+var useAVX2 = false
+
+func wenoRowAVX2(out, a, b, c, d, e *float64, n int) {
+	panic("core: no AVX2 row kernel in this build")
+}

@@ -103,7 +103,7 @@ func KernelRate(flopsPerCall int64, minDuration time.Duration, call func()) floa
 }
 
 // MeasureRHS returns the sustained GFLOP/s of one RHS evaluation over a
-// single block (vector or scalar, fused or staged).
+// single block (vector or scalar, default or staged driver).
 func MeasureRHS(n int, vector, staged bool, minDur time.Duration) float64 {
 	g := grid.New(grid.Desc{N: n, NBX: 1, NBY: 1, NBZ: 1, H: 1.0 / float64(n)})
 	fillGrid(g, testField)
