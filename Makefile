@@ -33,15 +33,15 @@ race:
 	$(GO) test -race ./internal/telemetry ./internal/sim ./internal/cluster ./internal/layout ./internal/node ./internal/transport ./internal/mpi ./internal/service ./internal/compress ./internal/dump
 	$(GO) test -race -count=50 -run TestPool ./internal/node
 
-# The portable build: the purego tag drops the assembly row kernel
-# (internal/core/wenorow_amd64.s), so every kernel runs its Go loop. The
-# solver packages must vet and pass their tests that way too.
+# The portable build: the purego tag drops the assembly row kernels
+# (internal/core/wenorow_amd64.s, hllerow_amd64.s), so every kernel runs its
+# Go loop. The solver packages must vet and pass their tests that way too.
 PUREGO_PKGS = ./internal/core ./internal/node ./internal/cluster
 purego:
 	$(GO) vet -tags purego $(PUREGO_PKGS)
 	$(GO) test -tags purego $(PUREGO_PKGS)
 
-# arm64 has no assembly kernel and no emulator here: cross-build everything
+# arm64 has no assembly kernels and no emulator here: cross-build everything
 # and vet the kernel package.
 arm64:
 	GOARCH=arm64 $(GO) build ./...

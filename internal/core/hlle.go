@@ -29,8 +29,8 @@ func hlleFace(m, p faceState) faceFlux {
 	cm := soundSpeed(m)
 	cp := soundSpeed(p)
 	// Davis wave-speed estimates, clamped around zero as the scheme requires.
-	sm := math.Min(m.un-cm, p.un-cp)
-	sp := math.Max(m.un+cm, p.un+cp)
+	sm := min(m.un-cm, p.un-cp)
+	sp := max(m.un+cm, p.un+cp)
 	if sm > 0 {
 		sm = 0
 	}

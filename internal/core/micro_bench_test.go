@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"cubism/internal/qpx"
@@ -40,4 +41,36 @@ func BenchmarkFMA4(b *testing.B) {
 		acc = x.MAdd(y, acc)
 	}
 	sinkV = acc
+}
+
+// BenchmarkRHSRows: one row-driver RHS evaluation (Compute) of the rough
+// two-phase field, at block edge 8 and at the paper's 32, under the Go
+// dispatch and, where the CPU has it, the AVX2 one. It reports the grind
+// time in ns per cell.
+func BenchmarkRHSRows(b *testing.B) {
+	orig := useAVX2
+	defer func() { useAVX2 = orig }()
+	modes := []bool{false}
+	if orig {
+		modes = append(modes, true)
+	}
+	for _, on := range modes {
+		name := "go"
+		if on {
+			name = "avx2"
+		}
+		for _, n := range []int{8, 32} {
+			b.Run(fmt.Sprintf("%s/n=%d", name, n), func(b *testing.B) {
+				useAVX2 = on
+				lab, h := roughLab(n, 1)
+				r := NewRHS(n)
+				out := make([]float32, n*n*n*nq)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					r.Compute(lab, h, out)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n*n*n), "ns/cell")
+			})
+		}
+	}
 }

@@ -15,8 +15,9 @@ import "cubism/internal/grid"
 //   - the row driver (default) reconstructs a whole row of faces at a time
 //     with the WENO5 row kernel (wenoRow) over unit-stride views of the
 //     slices — shifted views of one row in x, the rows around a face row in
-//     y, the six ring slices in z — and then runs the first-order fallback
-//     and HLLE face by face from the reconstructed rows;
+//     y, the six ring slices in z — and then computes the first-order
+//     fallback and the HLLE fluxes of the row with the face-row kernel
+//     (hlleRow);
 //   - the staged driver reconstructs and solves face by face per pencil,
 //     the non-fused baseline of Table 9 and the row driver's test oracle.
 //

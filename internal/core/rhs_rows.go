@@ -1,8 +1,9 @@
 package core
 
 // The row driver: each sweep hands faceRow the stencils of a whole row of
-// faces, the WENO5 row kernel reconstructs them, and the fallback and HLLE
-// then run face by face from the reconstructed rows.
+// faces, the WENO5 row kernel reconstructs them, and the HLLE face-row
+// kernel, first-order fallback included, turns the reconstructed rows into
+// fluxes.
 
 // stencil holds the 2*sw unit-stride views of one quantity around a row of
 // faces: lane i of view k is the cell k-sw steps along the sweep from face
@@ -19,16 +20,7 @@ func (r *RHS) faceRow(st *[nq]stencil, m int, dst *fluxPlane, j0 int) {
 		wenoRow(r.stM[q][:m], s[0], s[1], s[2], s[3], s[4])
 		wenoRow(r.stP[q][:m], s[5], s[4], s[3], s[2], s[1])
 	}
-	for f := 0; f < m; f++ {
-		ms, ps := loadState(&r.stM, f), loadState(&r.stP, f)
-		if !physical(ms) {
-			ms = cellState(st, sw-1, f) // cell left of the face
-		}
-		if !physical(ps) {
-			ps = cellState(st, sw, f) // cell right of the face
-		}
-		dst.store(j0+f, hlleFace(ms, ps))
-	}
+	hlleRow(&r.stM, &r.stP, st, dst, j0, m)
 }
 
 // cellState reads lane f of stencil view k as a face state.
@@ -41,8 +33,16 @@ func cellState(st *[nq]stencil, k, f int) faceState {
 
 // xRows accumulates the x-direction flux differences of layer z, one row of
 // n+1 faces per y: the stencil views are shifted views of the row itself.
+// Under the AVX2 kernels the row runs padded to a multiple of 4 lanes, so
+// no lane is left to the Go tail loops (which would run every pad lane at
+// full cost); the pad lanes read on into the slice (its row stride and
+// extra rows cover them) and land in r.row past face n, which nothing reads.
 func (r *RHS) xRows(z int) {
 	n := r.N
+	m := n + 1
+	if useAVX2 {
+		m = (m + 3) &^ 3
+	}
 	zs := r.ring.At(z)
 	qs := [nq][]float64{zs.R, zs.U, zs.V, zs.W, zs.P, zs.G, zs.Pi}
 	var st [nq]stencil
@@ -53,7 +53,7 @@ func (r *RHS) xRows(z int) {
 				st[q][k] = qs[q][o+k:]
 			}
 		}
-		r.faceRow(&st, n+1, r.row, 0)
+		r.faceRow(&st, m, r.row, 0)
 		r.accumulateRow(zs, (z*n+iy)*n, 1, zs.Idx(0, iy), 1, qu, qv, qw)
 	}
 }

@@ -1,9 +1,9 @@
 // Package core implements the compute kernels of the solver — the paper's
 // core layer (§6): RHS evaluation (CONV → WENO → HLLE → SUM → BACK stages,
 // Figure 1), the UP update kernel, the SOS/DT reduction, in scalar ("C++")
-// and 4-lane vector ("QPX") variants, plus the WENO5 row kernel with its
-// AVX2 twin behind the scalar row driver, the per-face staged baseline
-// measured in Table 9 and the instruction-mix audit behind Table 8.
+// and 4-lane vector ("QPX") variants, plus the WENO5 and HLLE row kernels
+// with their AVX2 twins behind the scalar row driver, the per-face staged
+// baseline measured in Table 9 and the instruction-mix audit behind Table 8.
 package core
 
 import (

@@ -2,7 +2,7 @@
 
 package core
 
-// useAVX2 selects the assembly row kernel. It is fixed once, at start-up,
+// useAVX2 selects the assembly row kernels. It is fixed once, at start-up,
 // from what the CPU and the operating system support.
 var useAVX2 = cpuHasAVX2()
 
@@ -11,6 +11,12 @@ var useAVX2 = cpuHasAVX2()
 //
 //go:noescape
 func wenoRowAVX2(out, a, b, c, d, e *float64, n int)
+
+// hlleRowAVX2 is hlleRow's four-lane AVX2 loop over the first n lanes of
+// the rows in a; n is a positive multiple of 4.
+//
+//go:noescape
+func hlleRowAVX2(a *hlleRowArgs, n int)
 
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 

@@ -2,10 +2,14 @@
 
 package core
 
-// useAVX2 is false: this build has no assembly row kernel, and wenoRow runs
-// its Go loop on every lane.
+// useAVX2 is false: this build has no assembly row kernels, and wenoRow and
+// hlleRow run their Go loops on every lane.
 var useAVX2 = false
 
 func wenoRowAVX2(out, a, b, c, d, e *float64, n int) {
+	panic("core: no AVX2 row kernel in this build")
+}
+
+func hlleRowAVX2(a *hlleRowArgs, n int) {
 	panic("core: no AVX2 row kernel in this build")
 }
