@@ -1,14 +1,15 @@
 # Verification targets; `make check` is the tier-1 gate plus vet, the
-# race-enabled telemetry/sim/cluster tests, the portable (purego) build and
-# the arm64 cross-build. `make verify` runs the full
+# race-enabled telemetry/sim/cluster tests, the portable (purego) build, the
+# arm64 cross-build and a one-iteration run of the RHS benchmarks. `make
+# verify` runs the full
 # exact-solution verification ladder and writes VERIFY.json
 # (docs/verification.md).
 
 GO ?= go
 
-.PHONY: check vet build bin test race purego arm64 flake bench benchmark benchmark-smoke smoke-net verify verify-short fuzz-seed chaos obs-smoke service-smoke
+.PHONY: check vet build bin test race purego arm64 bench-smoke flake bench benchmark benchmark-smoke smoke-net verify verify-short fuzz-seed chaos obs-smoke service-smoke
 
-check: vet build test race purego arm64
+check: vet build test race purego arm64 bench-smoke
 
 # vet fails on any file gofmt would rewrite, then runs go vet.
 vet:
@@ -47,14 +48,21 @@ arm64:
 	GOARCH=arm64 $(GO) build ./...
 	GOARCH=arm64 $(GO) vet ./internal/core
 
+# One iteration of Table 9's Vec4 pair and of the row driver's grind-time
+# benchmark (BenchmarkRHSRows), so they run on every check, not only compile.
+bench-smoke:
+	$(GO) test -run '^$$' -bench 'Table9|RHSRows' -benchtime 1x . ./internal/core
+
 # Flake sweep of the concurrency packages — the per-step collective
 # schedule (sim, cluster, mpi), the worker pool (node), the wire (transport,
 # launch), the telemetry sinks, the service with its scenario builds, and
-# the snapshot path (dump, checkpoint, compress, layout): shuffled repeats,
-# a single-P leg and a race leg (CI runs it nightly).
+# the snapshot path (dump, checkpoint, compress, layout) and the kernel
+# package (core, whose tests flip the package-global AVX2 dispatch):
+# shuffled repeats, a single-P leg and a race leg (CI runs it nightly).
 FLAKE_PKGS = ./internal/sim ./internal/cluster ./internal/mpi ./internal/service \
 	./internal/node ./internal/transport ./internal/launch ./internal/telemetry ./internal/scenario \
-	. ./cmd/mpcf-sim ./internal/dump ./internal/checkpoint ./internal/compress ./internal/layout
+	. ./cmd/mpcf-sim ./internal/dump ./internal/checkpoint ./internal/compress ./internal/layout \
+	./internal/core
 flake:
 	$(GO) test -count=20 -shuffle=on $(FLAKE_PKGS)
 	GOMAXPROCS=1 $(GO) test -count=5 $(FLAKE_PKGS)

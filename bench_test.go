@@ -226,36 +226,28 @@ func BenchmarkTable6ClusterRHS(b *testing.B) {
 
 // --- Table 7: scalar vs vector kernels -------------------------------------
 
-func benchRHS(b *testing.B, vector, staged bool) {
+// benchRHS times r's RHS evaluation of one benchN block.
+func benchRHS(b *testing.B, r interface {
+	Compute(lab *grid.Lab, h float64, out []float32)
+}) {
 	g := benchGrid(benchN, 1)
 	lab := grid.NewLab(benchN)
 	lab.Load(g, grid.PeriodicBC(), g.Blocks[0])
 	out := make([]float32, benchN*benchN*benchN*physics.NQ)
 	cells := int64(benchN * benchN * benchN)
-	if vector {
-		r := core.NewRHSVec(benchN)
-		r.Staged = staged
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			r.Compute(lab, g.H, out)
-		}
-	} else {
-		r := core.NewRHS(benchN)
-		r.Staged = staged
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			r.Compute(lab, g.H, out)
-		}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.Compute(lab, g.H, out)
 	}
 	b.StopTimer()
 	setFlops(b, cells*core.RHSFlopsPerCell(benchN))
 }
 
 // BenchmarkTable7RHSScalar times the scalar ("C++") RHS kernel.
-func BenchmarkTable7RHSScalar(b *testing.B) { benchRHS(b, false, false) }
+func BenchmarkTable7RHSScalar(b *testing.B) { benchRHS(b, core.NewRHS(benchN)) }
 
 // BenchmarkTable7RHSQPX times the vector ("QPX") RHS kernel.
-func BenchmarkTable7RHSQPX(b *testing.B) { benchRHS(b, true, false) }
+func BenchmarkTable7RHSQPX(b *testing.B) { benchRHS(b, core.NewRHSVec(benchN)) }
 
 // BenchmarkTable7DTScalar times the scalar SOS kernel.
 func BenchmarkTable7DTScalar(b *testing.B) {
@@ -351,17 +343,15 @@ func BenchmarkTable8InstructionMix(b *testing.B) {
 
 // --- Table 9: staged vs fused WENO→HLLE ------------------------------------
 
-// BenchmarkTable9Staged times the per-face staged baseline path.
-func BenchmarkTable9Staged(b *testing.B) { benchRHS(b, false, true) }
+// BenchmarkTable9Staged times the non-fused vector path.
+func BenchmarkTable9Staged(b *testing.B) {
+	r := core.NewRHSVec(benchN)
+	r.Staged = true
+	benchRHS(b, r)
+}
 
-// BenchmarkTable9Fused times the default path, the row driver.
-func BenchmarkTable9Fused(b *testing.B) { benchRHS(b, false, false) }
-
-// BenchmarkTable9StagedQPX times the non-fused vector path.
-func BenchmarkTable9StagedQPX(b *testing.B) { benchRHS(b, true, true) }
-
-// BenchmarkTable9FusedQPX times the micro-fused vector path.
-func BenchmarkTable9FusedQPX(b *testing.B) { benchRHS(b, true, false) }
+// BenchmarkTable9Fused times the micro-fused vector path.
+func BenchmarkTable9Fused(b *testing.B) { benchRHS(b, core.NewRHSVec(benchN)) }
 
 // --- Table 10: roofline projections ----------------------------------------
 

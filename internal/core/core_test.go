@@ -51,29 +51,35 @@ func smoothField(x, y, z float64) physics.Prim {
 	}
 }
 
+// rhsKernel is one RHS evaluation of a block: the row driver, the Vec4
+// driver or the per-face oracle.
+type rhsKernel interface {
+	Compute(lab *grid.Lab, h float64, out []float32)
+}
+
+// computeRHSBlocks evaluates the RHS of every block of g: the Vec4 driver
+// when vector is set, else the row driver; staged selects the Vec4
+// baseline or, on the scalar side, the per-face oracle.
 func computeRHSBlocks(t *testing.T, g *grid.Grid, bc grid.BC, vector, staged bool) [][]float32 {
 	t.Helper()
 	n := g.N
+	var r rhsKernel
+	switch {
+	case vector:
+		vec := NewRHSVec(n)
+		vec.Staged = staged
+		r = vec
+	case staged:
+		r = newStagedRHS(n)
+	default:
+		r = NewRHS(n)
+	}
 	lab := grid.NewLab(n)
 	outs := make([][]float32, len(g.Blocks))
-	var scalar *RHS
-	var vec *RHSVec
-	if vector {
-		vec = NewRHSVec(n)
-		vec.Staged = staged
-	} else {
-		scalar = NewRHS(n)
-		scalar.Staged = staged
-	}
 	for i, b := range g.Blocks {
 		lab.Load(g, bc, b)
-		out := make([]float32, n*n*n*nq)
-		if vector {
-			vec.Compute(lab, g.H, out)
-		} else {
-			scalar.Compute(lab, g.H, out)
-		}
-		outs[i] = out
+		outs[i] = make([]float32, n*n*n*nq)
+		r.Compute(lab, g.H, outs[i])
 	}
 	return outs
 }

@@ -4,9 +4,9 @@ package core
 // every i < n: the HLLE face-row kernel. Lane i of ms and ps is the
 // reconstructed minus and plus state of face i; a non-physical one falls
 // back to the adjacent cell, lane i of stencil view sw-1 (minus) or sw
-// (plus) of st, as in reconstructFace. Where useAVX2 is set, whole groups
-// of four lanes run in the assembly twin (hllerow_amd64.s), bitwise equal
-// to the Go loop that covers the rest (NaN payloads aside).
+// (plus) of st (see physical). Where useAVX2 is set, whole groups of four
+// lanes run in the assembly twin (hllerow_amd64.s), bitwise equal to the Go
+// loop that covers the rest (NaN payloads aside).
 func hlleRow(ms, ps *[nq][]float64, st *[nq]stencil, dst *fluxPlane, j0, n int) {
 	if n == 0 {
 		return

@@ -244,3 +244,11 @@ func TestHLLEDegenerateFan(t *testing.T) {
 		}
 	})
 }
+
+// load reads one face flux from SoA position f.
+func (fp *fluxPlane) load(f int) faceFlux {
+	return faceFlux{
+		fr: fp.fr[f], fun: fp.fun[f], fut1: fp.fut1[f], fut2: fp.fut2[f],
+		fe: fp.fe[f], fg: fp.fg[f], fpi: fp.fpi[f], ustar: fp.ustar[f],
+	}
+}

@@ -21,6 +21,9 @@ import (
 // the padded registers of the original implementation.
 type RHSVec struct {
 	*RHS
+	// Staged materializes every reconstructed face state of a pencil before
+	// HLLE runs: the non-fused baseline of Table 9.
+	Staged bool
 	// rowA/rowB are flux-row ping-pong buffers for the y-sweep.
 	rowA, rowB *fluxPlane
 }
@@ -121,7 +124,7 @@ func reconstructX(zs *ZSlice, o, fg int, staged bool, stM, stP *[nq][]float64) (
 	m.p, p.p = rec(zs.P)
 	m.g, p.g = rec(zs.G)
 	m.pi, p.pi = rec(zs.Pi)
-	// First-order fallback for non-physical lanes (see reconstructFace).
+	// First-order fallback for non-physical lanes (see physical, hlleRow).
 	cen := func(k int) faceStateV {
 		return faceStateV{
 			r: load(zs.R, k), un: load(zs.U, k), ut1: load(zs.V, k), ut2: load(zs.W, k),

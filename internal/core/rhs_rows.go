@@ -12,8 +12,8 @@ type stencil [2 * sw][]float64
 
 // faceRow evaluates the fluxes of m faces into dst[j0:j0+m]. st holds the
 // stencils of the seven quantities in sweep order (ρ, u_n, u_t1, u_t2, p, Γ,
-// Π). A non-physical reconstructed state falls back to its adjacent cell,
-// as in reconstructFace.
+// Π). A non-physical reconstructed state (see physical) falls back to its
+// adjacent cell inside hlleRow.
 func (r *RHS) faceRow(st *[nq]stencil, m int, dst *fluxPlane, j0 int) {
 	for q := range st {
 		s := &st[q]
@@ -54,7 +54,7 @@ func (r *RHS) xRows(z int) {
 			}
 		}
 		r.faceRow(&st, m, r.row, 0)
-		r.accumulateRow(zs, (z*n+iy)*n, 1, zs.Idx(0, iy), 1, qu, qv, qw)
+		r.accumulatePair(zs, (z*n+iy)*n, zs.Idx(0, iy), r.row, r.rowHi, 0, qu, qv, qw)
 	}
 }
 

@@ -65,10 +65,7 @@ func nonPhysicalXFaces(lab *grid.Lab, n int) int {
 		zs.Convert(lab, z)
 		for iy := 0; iy < n; iy++ {
 			for f := 0; f <= n; f++ {
-				i := zs.Idx(f, iy)
-				rm := func(a []float64) float64 { return wenoMinus(a[i-3], a[i-2], a[i-1], a[i], a[i+1]) }
-				m := faceState{r: rm(zs.R), un: rm(zs.U), ut1: rm(zs.V), ut2: rm(zs.W), p: rm(zs.P), g: rm(zs.G), pi: rm(zs.Pi)}
-				if !physical(m) {
+				if m, _ := wenoFace(zs, zs.Idx(0, iy), f, 1, zs.U, zs.V, zs.W); !physical(m) {
 					count++
 				}
 			}
@@ -106,8 +103,8 @@ func withDispatch(t *testing.T, f func(t *testing.T)) {
 	}
 }
 
-// TestRowDriverMatchesStaged: the row driver (the default path) produces
-// the same bits as the per-face staged path, through Compute and through
+// TestRowDriverMatchesStaged: the row driver produces the same bits as the
+// per-face staged oracle (stagedRHS), through Compute and through
 // ComputeFused, on rough two-phase fields at every block edge the solver
 // accepts, with and without the AVX2 row kernel.
 func TestRowDriverMatchesStaged(t *testing.T) {
@@ -119,8 +116,7 @@ func TestRowDriverMatchesStaged(t *testing.T) {
 					t.Fatalf("n=%d: the field never triggers the first-order fallback", n)
 				}
 				size := n * n * n * nq
-				row, staged := NewRHS(n), NewRHS(n)
-				staged.Staged = true
+				row, staged := NewRHS(n), newStagedRHS(n)
 				got, want := make([]float32, size), make([]float32, size)
 				row.Compute(lab, h, got)
 				staged.Compute(lab, h, want)
@@ -148,8 +144,8 @@ func TestRowDriverMatchesStaged(t *testing.T) {
 }
 
 // TestRHSGolden: the RHS of the rough seed-1 field hashes to the bits the
-// per-face driver produced when testdata/rhs_golden.json was recorded, on
-// both paths and both dispatches.
+// per-face driver produced when testdata/rhs_golden.json was recorded, for
+// the row driver and the per-face oracle, under both dispatches.
 func TestRHSGolden(t *testing.T) {
 	data, err := os.ReadFile("testdata/rhs_golden.json")
 	if err != nil {
@@ -172,13 +168,11 @@ func TestRHSGolden(t *testing.T) {
 				t.Fatal(err)
 			}
 			lab, h := roughLab(n, golden.Seed)
-			for _, staged := range []bool{false, true} {
-				r := NewRHS(n)
-				r.Staged = staged
+			for name, r := range map[string]rhsKernel{"row driver": NewRHS(n), "staged oracle": newStagedRHS(n)} {
 				out := make([]float32, n*n*n*nq)
 				r.Compute(lab, h, out)
 				if got := bitsHash(out); got != want {
-					t.Errorf("n=%d staged=%v: RHS hash %s, golden %s", n, staged, got, want)
+					t.Errorf("n=%d %s: RHS hash %s, golden %s", n, name, got, want)
 				}
 			}
 		}

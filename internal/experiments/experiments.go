@@ -102,22 +102,17 @@ func KernelRate(flopsPerCall int64, minDuration time.Duration, call func()) floa
 	return float64(flopsPerCall*calls) / elapsed / 1e9
 }
 
-// MeasureRHS returns the sustained GFLOP/s of one RHS evaluation over a
-// single block (vector or scalar, default or staged driver).
-func MeasureRHS(n int, vector, staged bool, minDur time.Duration) float64 {
+// MeasureRHS returns the sustained GFLOP/s of one RHS evaluation by r
+// (core.RHS or core.RHSVec, built for edge n) over a single block.
+func MeasureRHS(n int, r interface {
+	Compute(lab *grid.Lab, h float64, out []float32)
+}, minDur time.Duration) float64 {
 	g := grid.New(grid.Desc{N: n, NBX: 1, NBY: 1, NBZ: 1, H: 1.0 / float64(n)})
 	fillGrid(g, testField)
 	lab := grid.NewLab(n)
 	lab.Load(g, grid.PeriodicBC(), g.Blocks[0])
 	out := make([]float32, n*n*n*physics.NQ)
 	flops := int64(n*n*n) * core.RHSFlopsPerCell(n)
-	if vector {
-		r := core.NewRHSVec(n)
-		r.Staged = staged
-		return KernelRate(flops, minDur, func() { r.Compute(lab, g.H, out) })
-	}
-	r := core.NewRHS(n)
-	r.Staged = staged
 	return KernelRate(flops, minDur, func() { r.Compute(lab, g.H, out) })
 }
 

@@ -2,11 +2,14 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
+
+	"cubism/internal/core"
 )
 
 const quick = 50 * time.Millisecond
@@ -44,11 +47,38 @@ func TestTable8Output(t *testing.T) {
 	}
 }
 
+// TestTable9Output: Table 9 prints the paper's pair, the Vec4 staged and
+// fused drivers with positive rates, and the paper's line.
+func TestTable9Output(t *testing.T) {
+	var b bytes.Buffer
+	Table9(&b, 8, quick)
+	out := b.String()
+	var row string
+	for _, l := range strings.Split(out, "\n") {
+		if strings.HasPrefix(l, "qpx ") {
+			row = l
+		}
+	}
+	var staged, fused, imp float64
+	if _, err := fmt.Sscanf(row, "qpx staged %f GF/s fused %f GF/s improvement %fX", &staged, &fused, &imp); err != nil {
+		t.Fatalf("no qpx row (%v) in:\n%s", err, out)
+	}
+	if staged <= 0 || fused <= 0 || imp <= 0 {
+		t.Errorf("rates staged %g fused %g improvement %g in:\n%s", staged, fused, imp, out)
+	}
+	if !strings.Contains(out, "paper (QPX): baseline 7.9 -> fused 9.2 GFLOP/s") {
+		t.Errorf("missing the paper line in:\n%s", out)
+	}
+	if strings.Contains(out, "scalar") {
+		t.Errorf("a scalar row in:\n%s", out)
+	}
+}
+
 func TestMeasureKernelsPositive(t *testing.T) {
-	if v := MeasureRHS(8, false, false, quick); v <= 0 {
+	if v := MeasureRHS(8, core.NewRHS(8), quick); v <= 0 {
 		t.Errorf("scalar RHS rate %g", v)
 	}
-	if v := MeasureRHS(8, true, false, quick); v <= 0 {
+	if v := MeasureRHS(8, core.NewRHSVec(8), quick); v <= 0 {
 		t.Errorf("vector RHS rate %g", v)
 	}
 	if v := MeasureDT(8, false, quick); v <= 0 {

@@ -141,7 +141,7 @@ func newRackModel(n int, minDur time.Duration) *rackModel {
 	eff := map[string]float64{}
 	// Sustained single-core GFLOP/s relative to the host roofline bound for
 	// the kernel's operational intensity.
-	rhs := MeasureRHS(n, false, false, minDur)
+	rhs := MeasureRHS(n, core.NewRHS(n), minDur)
 	eff["RHS"] = rhs / host.Attainable(core.OperationalIntensityRHS(n))
 	dt := MeasureDT(n, false, minDur)
 	eff["DT"] = dt / host.Attainable(core.OperationalIntensityDT())
@@ -349,7 +349,7 @@ func Table7(w io.Writer, n int, minDur time.Duration) {
 		memBound       bool
 	}
 	rows := []row{
-		{name: "RHS", scalar: MeasureRHS(n, false, false, minDur), vector: MeasureRHS(n, true, false, minDur)},
+		{name: "RHS", scalar: MeasureRHS(n, core.NewRHS(n), minDur), vector: MeasureRHS(n, core.NewRHSVec(n), minDur)},
 		{name: "DT", scalar: MeasureDT(n, false, minDur), vector: MeasureDT(n, true, minDur)},
 		{name: "UP", scalar: MeasureUP(n, false, minDur), vector: MeasureUP(n, true, minDur), memBound: true},
 		{name: "FWT", scalar: measureFWT(n, false, minDur), vector: measureFWT(n, true, minDur)},
@@ -399,24 +399,18 @@ func Table8(w io.Writer, n int) {
 	line(w, "paper: CONV 1%% 1.10 55%% | WENO 83%% 1.56 78%% | HLLE 13%% 1.30 65%% | SUM 2%% 1.22 61%% | BACK <1%% 1.28 64%% | ALL 1.51 76%%")
 }
 
-// Table9 regenerates the micro-fusion comparison: the WENO->HLLE pipeline
-// with materialized face states (baseline) against the default path — on
-// the scalar side the row driver (WENO5 row kernel, then the per-face
-// fallback and HLLE), on the vector side the fused per-face path.
+// Table9 regenerates the micro-fusion comparison on the Vec4 driver: the
+// WENO->HLLE pipeline with materialized face states (staged) against the
+// fused per-face path.
 //
 // Paper values: 7.9 -> 9.2 GFLOP/s (1.2X GFLOP/s, 1.3X time).
 func Table9(w io.Writer, n int, minDur time.Duration) {
-	header(w, "Table 9: WENO kernel, baseline (staged) vs default path")
-	for _, vec := range []bool{false, true} {
-		name, base, def := "scalar", "per-face staged", "row driver"
-		if vec {
-			name, base, def = "qpx", "staged", "fused"
-		}
-		staged := MeasureRHS(n, vec, true, minDur)
-		fused := MeasureRHS(n, vec, false, minDur)
-		line(w, "%-8s %s %7.2f GF/s   %s %7.2f GF/s   improvement %.2fX",
-			name, base, staged, def, fused, fused/staged)
-	}
+	header(w, "Table 9: WENO kernel, staged vs micro-fused (QPX model)")
+	base := core.NewRHSVec(n)
+	base.Staged = true
+	staged := MeasureRHS(n, base, minDur)
+	fused := MeasureRHS(n, core.NewRHSVec(n), minDur)
+	line(w, "qpx      staged %7.2f GF/s   fused %7.2f GF/s   improvement %.2fX", staged, fused, fused/staged)
 	line(w, "paper (QPX): baseline 7.9 -> fused 9.2 GFLOP/s (1.2X GFLOP/s, 1.3X cycles)")
 }
 
