@@ -31,7 +31,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/telemetry ./internal/sim ./internal/cluster ./internal/layout ./internal/node ./internal/transport ./internal/mpi ./internal/service ./internal/compress ./internal/dump
+	$(GO) test -race ./internal/telemetry ./internal/sim ./internal/cluster ./internal/layout ./internal/node ./internal/transport ./internal/mpi ./internal/service ./internal/compress ./internal/dump ./internal/core
 	$(GO) test -race -count=50 -run TestPool ./internal/node
 
 # The portable build: the purego tag drops the assembly row kernels
@@ -57,7 +57,7 @@ bench-smoke:
 # schedule (sim, cluster, mpi), the worker pool (node), the wire (transport,
 # launch), the telemetry sinks, the service with its scenario builds, and
 # the snapshot path (dump, checkpoint, compress, layout) and the kernel
-# package (core, whose tests flip the package-global AVX2 dispatch):
+# package (core, whose Go-loop and AVX2 dispatch subtests run in parallel):
 # shuffled repeats, a single-P leg and a race leg (CI runs it nightly).
 FLAKE_PKGS = ./internal/sim ./internal/cluster ./internal/mpi ./internal/service \
 	./internal/node ./internal/transport ./internal/launch ./internal/telemetry ./internal/scenario \

@@ -4,10 +4,10 @@ package core
 // every i < n: the HLLE face-row kernel. Lane i of ms and ps is the
 // reconstructed minus and plus state of face i; a non-physical one falls
 // back to the adjacent cell, lane i of stencil view sw-1 (minus) or sw
-// (plus) of st (see physical). Where useAVX2 is set, whole groups of four
-// lanes run in the assembly twin (hllerow_amd64.s), bitwise equal to the Go
-// loop that covers the rest (NaN payloads aside).
-func hlleRow(ms, ps *[nq][]float64, st *[nq]stencil, dst *fluxPlane, j0, n int) {
+// (plus) of st (see physical). With avx2 set (see RHS.avx2), whole groups
+// of four lanes run in the assembly twin (hllerow_amd64.s), bitwise equal to
+// the Go loop that covers the rest (NaN payloads aside).
+func hlleRow(ms, ps *[nq][]float64, st *[nq]stencil, dst *fluxPlane, j0, n int, avx2 bool) {
 	if n == 0 {
 		return
 	}
@@ -20,7 +20,7 @@ func hlleRow(ms, ps *[nq][]float64, st *[nq]stencil, dst *fluxPlane, j0, n int) 
 	_, _, _, _ = dst.fr[e], dst.fun[e], dst.fut1[e], dst.fut2[e]
 	_, _, _, _ = dst.fe[e], dst.fg[e], dst.fpi[e], dst.ustar[e]
 	k := 0
-	if useAVX2 && n >= 4 {
+	if avx2 && n >= 4 {
 		k = n &^ 3
 		a := hlleRowArgs{out: [8]*float64{
 			&dst.fr[j0], &dst.fun[j0], &dst.fut1[j0], &dst.fut2[j0],

@@ -109,22 +109,19 @@ func FuzzHLLERows(f *testing.F) {
 		const sentinel = -1234.5
 		dst := newFluxPlane(off + n + 4)
 		out := [8][]float64{dst.fr, dst.fun, dst.fut1, dst.fut2, dst.fe, dst.fg, dst.fpi, dst.ustar}
-		orig := useAVX2
-		defer func() { useAVX2 = orig }()
-		for _, on := range []bool{false, orig} {
-			useAVX2 = on
+		for _, avx2 := range dispatches() {
 			for _, o := range out {
 				for j := range o {
 					o[j] = sentinel
 				}
 			}
-			hlleRow(&ms, &ps, &st, dst, off, n)
+			hlleRow(&ms, &ps, &st, dst, off, n, avx2)
 			for j := range dst.fr {
 				i := j - off
 				if i < 0 || i >= n {
 					for k, o := range out {
 						if o[j] != sentinel {
-							t.Fatalf("avx2=%v: output %d written at %d, outside the row [%d,%d)", on, k, j, off, off+n)
+							t.Fatalf("avx2=%v: output %d written at %d, outside the row [%d,%d)", avx2, k, j, off, off+n)
 						}
 					}
 					continue
@@ -145,7 +142,7 @@ func FuzzHLLERows(f *testing.F) {
 					}
 					if math.Float64bits(got) != math.Float64bits(want[k]) {
 						t.Fatalf("avx2=%v lane %d of %d, output %d: got %v (%#x), hlleFace %v (%#x)\nminus %+v\nplus  %+v",
-							on, i, n, k, got, math.Float64bits(got), want[k], math.Float64bits(want[k]), m, p)
+							avx2, i, n, k, got, math.Float64bits(got), want[k], math.Float64bits(want[k]), m, p)
 					}
 				}
 			}
@@ -157,7 +154,7 @@ func FuzzHLLERows(f *testing.F) {
 // computed, whichever kernel would run.
 func TestHLLERowShortOperand(t *testing.T) {
 	const n = 8
-	withDispatch(t, func(t *testing.T) {
+	withDispatch(t, func(t *testing.T, avx2 bool) {
 		var ms, ps [nq][]float64
 		var st [nq]stencil
 		for q := 0; q < nq; q++ {
@@ -175,7 +172,7 @@ func TestHLLERowShortOperand(t *testing.T) {
 					t.Error("hlleRow accepted a cell row shorter than the face row")
 				}
 			}()
-			hlleRow(&ms, &ps, &st, dst, 0, n)
+			hlleRow(&ms, &ps, &st, dst, 0, n, avx2)
 		}()
 		for j, v := range dst.fr {
 			if v != 0 {
@@ -221,7 +218,7 @@ func TestHLLEDegenerateFan(t *testing.T) {
 		t.Errorf("c = 0 on both sides: fr %v, ustar %v; want the upwind 3000, 3", ff.fr, ff.ustar)
 	}
 
-	withDispatch(t, func(t *testing.T) {
+	withDispatch(t, func(t *testing.T, avx2 bool) {
 		n := len(pairs)
 		var ms, ps, cl, cr [nq][]float64
 		var st [nq]stencil
@@ -236,7 +233,7 @@ func TestHLLEDegenerateFan(t *testing.T) {
 			setLane(&cr, i, pr[1])
 		}
 		dst := newFluxPlane(n)
-		hlleRow(&ms, &ps, &st, dst, 0, n)
+		hlleRow(&ms, &ps, &st, dst, 0, n, avx2)
 		for i, pr := range pairs {
 			if got, want := dst.load(i), hlleFace(pr[0], pr[1]); got != want {
 				t.Errorf("lane %d: hlleRow %+v, hlleFace %+v", i, got, want)

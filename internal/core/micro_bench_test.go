@@ -2,13 +2,11 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"cubism/internal/qpx"
 )
-
-var sinkF float64
-var sinkV qpx.Vec4
 
 func BenchmarkWenoScalarX4(b *testing.B) {
 	vals := [8]float64{1.2, 0.9, 1.1, 1.4, 1.0, 1.3, 0.8, 1.05}
@@ -18,7 +16,7 @@ func BenchmarkWenoScalarX4(b *testing.B) {
 			s += wenoMinus(vals[l], vals[l+1], vals[l+2], vals[l+3], vals[l+4])
 		}
 	}
-	sinkF = s
+	runtime.KeepAlive(s)
 }
 
 func BenchmarkWenoVec(b *testing.B) {
@@ -30,7 +28,7 @@ func BenchmarkWenoVec(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s = s.Add(wenoMinusV(a[0], a[1], a[2], a[3], a[4]))
 	}
-	sinkV = s
+	runtime.KeepAlive(s)
 }
 
 func BenchmarkFMA4(b *testing.B) {
@@ -40,7 +38,7 @@ func BenchmarkFMA4(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		acc = x.MAdd(y, acc)
 	}
-	sinkV = acc
+	runtime.KeepAlive(acc)
 }
 
 // BenchmarkRHSRows: one row-driver RHS evaluation (Compute) of the rough
@@ -48,22 +46,11 @@ func BenchmarkFMA4(b *testing.B) {
 // dispatch and, where the CPU has it, the AVX2 one. It reports the grind
 // time in ns per cell.
 func BenchmarkRHSRows(b *testing.B) {
-	orig := useAVX2
-	defer func() { useAVX2 = orig }()
-	modes := []bool{false}
-	if orig {
-		modes = append(modes, true)
-	}
-	for _, on := range modes {
-		name := "go"
-		if on {
-			name = "avx2"
-		}
+	for _, avx2 := range dispatches() {
 		for _, n := range []int{8, 32} {
-			b.Run(fmt.Sprintf("%s/n=%d", name, n), func(b *testing.B) {
-				useAVX2 = on
+			b.Run(fmt.Sprintf("%s/n=%d", dispatchName(avx2), n), func(b *testing.B) {
 				lab, h := roughLab(n, 1)
-				r := NewRHS(n)
+				r := rhsWith(n, avx2)
 				out := make([]float32, n*n*n*nq)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {

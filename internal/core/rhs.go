@@ -34,6 +34,9 @@ type RHS struct {
 	// Reconstructed face states of one row of faces: 7 quantities in sweep
 	// order, minus and plus side.
 	stM, stP [nq][]float64
+	// avx2 selects the AVX2 row kernels over the Go loops; NewRHS sets it
+	// from the CPU (hasAVX2), tests set it to run either one.
+	avx2 bool
 }
 
 // fluxPlane holds HLLE outputs in SoA layout: the seven fluxes in sweep
@@ -67,6 +70,7 @@ func NewRHS(n int) *RHS {
 		yPrev: newFluxPlane(n),
 		yCur:  newFluxPlane(n),
 		row:   newFluxPlane((n + 1 + 3) &^ 3),
+		avx2:  hasAVX2,
 	}
 	row := r.row
 	r.rowHi = &fluxPlane{

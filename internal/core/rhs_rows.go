@@ -17,10 +17,10 @@ type stencil [2 * sw][]float64
 func (r *RHS) faceRow(st *[nq]stencil, m int, dst *fluxPlane, j0 int) {
 	for q := range st {
 		s := &st[q]
-		wenoRow(r.stM[q][:m], s[0], s[1], s[2], s[3], s[4])
-		wenoRow(r.stP[q][:m], s[5], s[4], s[3], s[2], s[1])
+		wenoRow(r.stM[q][:m], s[0], s[1], s[2], s[3], s[4], r.avx2)
+		wenoRow(r.stP[q][:m], s[5], s[4], s[3], s[2], s[1], r.avx2)
 	}
-	hlleRow(&r.stM, &r.stP, st, dst, j0, m)
+	hlleRow(&r.stM, &r.stP, st, dst, j0, m, r.avx2)
 }
 
 // cellState reads lane f of stencil view k as a face state.
@@ -33,14 +33,14 @@ func cellState(st *[nq]stencil, k, f int) faceState {
 
 // xRows accumulates the x-direction flux differences of layer z, one row of
 // n+1 faces per y: the stencil views are shifted views of the row itself.
-// Under the AVX2 kernels the row runs padded to a multiple of 4 lanes, so
+// With r.avx2 set, the row runs padded to a multiple of 4 lanes, so
 // no lane is left to the Go tail loops (which would run every pad lane at
 // full cost); the pad lanes read on into the slice (its row stride and
 // extra rows cover them) and land in r.row past face n, which nothing reads.
 func (r *RHS) xRows(z int) {
 	n := r.N
 	m := n + 1
-	if useAVX2 {
+	if r.avx2 {
 		m = (m + 3) &^ 3
 	}
 	zs := r.ring.At(z)

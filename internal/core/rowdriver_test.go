@@ -84,22 +84,37 @@ func bitsHash(v []float32) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// withDispatch runs f once with the Go row loop and, where the CPU has it,
-// once with the AVX2 row kernel.
-func withDispatch(t *testing.T, f func(t *testing.T)) {
-	orig := useAVX2
-	defer func() { useAVX2 = orig }()
-	modes := []bool{false}
-	if orig {
-		modes = append(modes, true)
+// dispatches lists the row-kernel choices this CPU runs: the Go loop and,
+// where the CPU has it, AVX2.
+func dispatches() []bool {
+	if hasAVX2 {
+		return []bool{false, true}
 	}
-	for _, on := range modes {
-		useAVX2 = on
-		name := "go"
-		if on {
-			name = "avx2"
-		}
-		t.Run(name, f)
+	return []bool{false}
+}
+
+// dispatchName names a row-kernel choice in subtest and sub-benchmark names.
+func dispatchName(avx2 bool) string {
+	if avx2 {
+		return "avx2"
+	}
+	return "go"
+}
+
+// rhsWith is NewRHS with the row-kernel choice avx2.
+func rhsWith(n int, avx2 bool) *RHS {
+	r := NewRHS(n)
+	r.avx2 = avx2
+	return r
+}
+
+// withDispatch runs f as a parallel subtest once per choice in dispatches.
+func withDispatch(t *testing.T, f func(t *testing.T, avx2 bool)) {
+	for _, avx2 := range dispatches() {
+		t.Run(dispatchName(avx2), func(t *testing.T) {
+			t.Parallel()
+			f(t, avx2)
+		})
 	}
 }
 
@@ -108,7 +123,7 @@ func withDispatch(t *testing.T, f func(t *testing.T)) {
 // ComputeFused, on rough two-phase fields at every block edge the solver
 // accepts, with and without the AVX2 row kernel.
 func TestRowDriverMatchesStaged(t *testing.T) {
-	withDispatch(t, func(t *testing.T) {
+	withDispatch(t, func(t *testing.T, avx2 bool) {
 		for _, n := range []int{6, 7, 8, 9, 12, 16, 32} {
 			for seed := int64(1); seed <= 2; seed++ {
 				lab, h := roughLab(n, seed)
@@ -116,7 +131,7 @@ func TestRowDriverMatchesStaged(t *testing.T) {
 					t.Fatalf("n=%d: the field never triggers the first-order fallback", n)
 				}
 				size := n * n * n * nq
-				row, staged := NewRHS(n), newStagedRHS(n)
+				row, staged := rhsWith(n, avx2), newStagedRHS(n)
 				got, want := make([]float32, size), make([]float32, size)
 				row.Compute(lab, h, got)
 				staged.Compute(lab, h, want)
@@ -161,14 +176,14 @@ func TestRHSGolden(t *testing.T) {
 	if len(golden.Hashes) != 4 {
 		t.Fatalf("golden file has %d block sizes, want 4", len(golden.Hashes))
 	}
-	withDispatch(t, func(t *testing.T) {
+	withDispatch(t, func(t *testing.T, avx2 bool) {
 		for key, want := range golden.Hashes {
 			n, err := strconv.Atoi(key)
 			if err != nil {
 				t.Fatal(err)
 			}
 			lab, h := roughLab(n, golden.Seed)
-			for name, r := range map[string]rhsKernel{"row driver": NewRHS(n), "staged oracle": newStagedRHS(n)} {
+			for name, r := range map[string]rhsKernel{"row driver": rhsWith(n, avx2), "staged oracle": newStagedRHS(n)} {
 				out := make([]float32, n*n*n*nq)
 				r.Compute(lab, h, out)
 				if got := bitsHash(out); got != want {
@@ -179,18 +194,21 @@ func TestRHSGolden(t *testing.T) {
 	})
 }
 
-// TestRHSZeroAllocs: an RHS evaluation allocates nothing; the row driver's
-// per-row slice views stay on the stack.
+// TestRHSZeroAllocs: an RHS evaluation allocates nothing under either
+// dispatch; the row driver's per-row slice views stay on the stack. It is
+// not parallel: AllocsPerRun counts the whole process's allocations.
 func TestRHSZeroAllocs(t *testing.T) {
 	const n = 8
 	lab, h := roughLab(n, 1)
-	r := NewRHS(n)
 	size := n * n * n * nq
 	out, u, reg := make([]float32, size), make([]float32, size), make([]float32, size)
-	if a := testing.AllocsPerRun(10, func() { r.Compute(lab, h, out) }); a != 0 {
-		t.Errorf("Compute allocates %v per call", a)
-	}
-	if a := testing.AllocsPerRun(10, func() { r.ComputeFused(lab, h, u, reg, RK3A[1], RK3B[1], 1e-7) }); a != 0 {
-		t.Errorf("ComputeFused allocates %v per call", a)
+	for _, avx2 := range dispatches() {
+		r := rhsWith(n, avx2)
+		if a := testing.AllocsPerRun(10, func() { r.Compute(lab, h, out) }); a != 0 {
+			t.Errorf("avx2=%v: Compute allocates %v per call", avx2, a)
+		}
+		if a := testing.AllocsPerRun(10, func() { r.ComputeFused(lab, h, u, reg, RK3A[1], RK3B[1], 1e-7) }); a != 0 {
+			t.Errorf("avx2=%v: ComputeFused allocates %v per call", avx2, a)
+		}
 	}
 }

@@ -2,9 +2,9 @@
 
 package core
 
-// useAVX2 selects the assembly row kernels. It is fixed once, at start-up,
-// from what the CPU and the operating system support.
-var useAVX2 = cpuHasAVX2()
+// hasAVX2 reports whether the CPU and the operating system support the
+// assembly row kernels. It is read once, at start-up; NewRHS copies it.
+var hasAVX2 = cpuHasAVX2()
 
 // wenoRowAVX2 is wenoRow's four-lane AVX2 loop over the first n lanes; n is
 // a positive multiple of 4.

@@ -2,9 +2,9 @@
 
 package core
 
-// useAVX2 is false: this build has no assembly row kernels, and wenoRow and
+// hasAVX2 is false: this build has no assembly row kernels, and wenoRow and
 // hlleRow run their Go loops on every lane.
-var useAVX2 = false
+const hasAVX2 = false
 
 func wenoRowAVX2(out, a, b, c, d, e *float64, n int) {
 	panic("core: no AVX2 row kernel in this build")

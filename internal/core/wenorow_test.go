@@ -30,13 +30,10 @@ func FuzzWenoRows(f *testing.F) {
 			}
 		}
 		w := v[off:]
-		orig := useAVX2
-		defer func() { useAVX2 = orig }()
 		out := make([]float64, n)
-		for _, on := range []bool{false, orig} {
-			useAVX2 = on
+		for _, avx2 := range dispatches() {
 			for _, bases := range [][5]int{{0, 1, 2, 3, 4}, {5, 4, 3, 2, 1}} {
-				wenoRow(out, w[bases[0]:], w[bases[1]:], w[bases[2]:], w[bases[3]:], w[bases[4]:])
+				wenoRow(out, w[bases[0]:], w[bases[1]:], w[bases[2]:], w[bases[3]:], w[bases[4]:], avx2)
 				for i, got := range out {
 					want := wenoMinus(w[bases[0]+i], w[bases[1]+i], w[bases[2]+i], w[bases[3]+i], w[bases[4]+i])
 					if math.IsNaN(want) && math.IsNaN(got) {
@@ -44,7 +41,7 @@ func FuzzWenoRows(f *testing.F) {
 					}
 					if math.Float64bits(got) != math.Float64bits(want) {
 						t.Fatalf("avx2=%v bases %v lane %d of %d: got %v (%#x), wenoMinus %v (%#x)",
-							on, bases, i, n, got, math.Float64bits(got), want, math.Float64bits(want))
+							avx2, bases, i, n, got, math.Float64bits(got), want, math.Float64bits(want))
 					}
 				}
 			}
@@ -53,13 +50,15 @@ func FuzzWenoRows(f *testing.F) {
 }
 
 // TestWenoRowShortOperand: a view shorter than the row panics before any
-// lane is computed, whichever kernel would run.
+// lane is computed, under either dispatch.
 func TestWenoRowShortOperand(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("wenoRow accepted an operand shorter than out")
-		}
-	}()
-	v := make([]float64, 12)
-	wenoRow(make([]float64, 8), v, v, v, v, v[5:])
+	withDispatch(t, func(t *testing.T, avx2 bool) {
+		defer func() {
+			if recover() == nil {
+				t.Error("wenoRow accepted an operand shorter than out")
+			}
+		}()
+		v := make([]float64, 12)
+		wenoRow(make([]float64, 8), v, v, v, v, v[5:], avx2)
+	})
 }

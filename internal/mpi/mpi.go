@@ -140,7 +140,7 @@ func (w *World) Err() error { return w.closeErr }
 // graceful transport close; any close error is available via Err.
 func (w *World) Run(body func(*Comm)) {
 	if w.Distributed() {
-		c := &Comm{world: w, rank: w.local}
+		c := &Comm{world: w, rank: w.local, tagCheck: tagCheckEnv}
 		body(c)
 		c.Barrier()
 		w.closeErr = w.eps[w.local].Close()
@@ -151,7 +151,7 @@ func (w *World) Run(body func(*Comm)) {
 	for r := 0; r < w.size; r++ {
 		go func(rank int) {
 			defer wg.Done()
-			body(&Comm{world: w, rank: rank})
+			body(&Comm{world: w, rank: rank, tagCheck: tagCheckEnv})
 		}(r)
 	}
 	wg.Wait()
@@ -164,7 +164,11 @@ type Comm struct {
 	world   *World
 	rank    int
 	collSeq uint64
-	tagSeen map[uint64]struct{} // send-side (dst,tag) dedup, only when tag checking is on
+	// tagCheck enables the debug assertion that flags reuse of a (dst, tag)
+	// pair within one epoch (see checkTag). Off by default, as it costs a
+	// map insert per send; MPCF_TAGCHECK=1 turns it on.
+	tagCheck bool
+	tagSeen  map[uint64]struct{} // send-side (dst,tag) dedup, only when tagCheck is on
 }
 
 // Rank returns this rank's id in [0, Size).

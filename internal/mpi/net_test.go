@@ -166,10 +166,9 @@ func TestDistributedWorldIdentity(t *testing.T) {
 }
 
 func TestTagReusePanics(t *testing.T) {
-	SetTagCheck(true)
-	defer SetTagCheck(false)
 	var panicked [2]bool
 	NewWorld(2).Run(func(c *Comm) {
+		c.tagCheck = true
 		if c.Rank() == 1 {
 			// Drain both sends so rank 0 isn't wedged if the panic is missed.
 			c.Recv(0, TagStream(5))
@@ -189,9 +188,8 @@ func TestTagReusePanics(t *testing.T) {
 }
 
 func TestTagEpochResetAllowsReuse(t *testing.T) {
-	SetTagCheck(true)
-	defer SetTagCheck(false)
 	NewWorld(2).Run(func(c *Comm) {
+		c.tagCheck = true
 		if c.Rank() == 1 {
 			c.Recv(0, TagStream(5))
 			c.Recv(0, TagStream(5))
@@ -204,11 +202,10 @@ func TestTagEpochResetAllowsReuse(t *testing.T) {
 }
 
 func TestCollTagsExemptFromReuseCheck(t *testing.T) {
-	SetTagCheck(true)
-	defer SetTagCheck(false)
 	// Collective seq tags wrap at 16 bits; they carry their own ordering
 	// proof and must never trip the reuse assertion.
 	NewWorld(2).Run(func(c *Comm) {
+		c.tagCheck = true
 		for i := 0; i < 3; i++ {
 			if got := c.Allreduce(1, SumOp); got != 2 {
 				t.Errorf("Allreduce = %v, want 2", got)

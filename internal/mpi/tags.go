@@ -3,7 +3,6 @@ package mpi
 import (
 	"fmt"
 	"os"
-	"sync/atomic"
 )
 
 // Tag namespaces. Collectives, ghost exchange and the dump streams used to
@@ -120,20 +119,9 @@ func TagObsPong(k int) int {
 	return TagStream(obsPongChannel + k)
 }
 
-// tagCheckOn enables the debug assertion that flags reuse of a (dst, tag)
-// pair within one epoch. Off by default (it costs a map insert per send);
-// enabled by SetTagCheck or MPCF_TAGCHECK=1.
-var tagCheckOn atomic.Bool
-
-func init() {
-	if os.Getenv("MPCF_TAGCHECK") == "1" {
-		tagCheckOn.Store(true)
-	}
-}
-
-// SetTagCheck toggles the debug tag-reuse assertion for subsequently
-// created sends on all ranks.
-func SetTagCheck(on bool) { tagCheckOn.Store(on) }
+// tagCheckEnv is MPCF_TAGCHECK=1, read once at start-up: every new Comm
+// takes it as its Comm.tagCheck.
+var tagCheckEnv = os.Getenv("MPCF_TAGCHECK") == "1"
 
 // BeginTagEpoch opens a new tag epoch for this rank: the reuse assertion
 // forgets all (dst, tag) pairs seen so far. The cluster layer calls it at
@@ -149,7 +137,7 @@ func (c *Comm) BeginTagEpoch() {
 // the sequence number, so reuse across epochs is by construction safe, and
 // their cadence is not tied to the ghost-exchange epoch.
 func (c *Comm) checkTag(dst, tag int) {
-	if !tagCheckOn.Load() || tag&classMask == classColl {
+	if !c.tagCheck || tag&classMask == classColl {
 		return
 	}
 	if c.tagSeen == nil {
