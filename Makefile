@@ -36,11 +36,14 @@ race:
 
 # The portable build: the purego tag drops the assembly row kernels
 # (internal/core/wenorow_amd64.s, hllerow_amd64.s), so every kernel runs its
-# Go loop. The solver packages must vet and pass their tests that way too.
+# Go loop. The solver packages must vet and pass their tests that way too,
+# and the portable path's gate (BenchmarkTable9Fused, with BenchmarkRHSRows)
+# runs one iteration.
 PUREGO_PKGS = ./internal/core ./internal/node ./internal/cluster
 purego:
 	$(GO) vet -tags purego $(PUREGO_PKGS)
 	$(GO) test -tags purego $(PUREGO_PKGS)
+	$(GO) test -tags purego -run '^$$' -bench 'Table9|RHSRows' -benchtime 1x . ./internal/core
 
 # arm64 has no assembly kernels and no emulator here: cross-build everything
 # and vet the kernel package.
@@ -48,8 +51,9 @@ arm64:
 	GOARCH=arm64 $(GO) build ./...
 	GOARCH=arm64 $(GO) vet ./internal/core
 
-# One iteration of Table 9's Vec4 pair and of the row driver's grind-time
-# benchmark (BenchmarkRHSRows), so they run on every check, not only compile.
+# One iteration of Table 9's staged/fused pair on the row driver and of its
+# grind-time benchmark (BenchmarkRHSRows), so they run on every check, not
+# only compile.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'Table9|RHSRows' -benchtime 1x . ./internal/core
 

@@ -243,11 +243,13 @@ func benchRHS(b *testing.B, r interface {
 	setFlops(b, cells*core.RHSFlopsPerCell(benchN))
 }
 
-// BenchmarkTable7RHSScalar times the scalar ("C++") RHS kernel.
-func BenchmarkTable7RHSScalar(b *testing.B) { benchRHS(b, core.NewRHS(benchN)) }
+// BenchmarkTable7RHSScalar times the scalar ("C++") RHS: the row driver on
+// its Go loops.
+func BenchmarkTable7RHSScalar(b *testing.B) { benchRHS(b, core.NewRHSGo(benchN)) }
 
-// BenchmarkTable7RHSQPX times the vector ("QPX") RHS kernel.
-func BenchmarkTable7RHSQPX(b *testing.B) { benchRHS(b, core.NewRHSVec(benchN)) }
+// BenchmarkTable7RHSQPX times the vector ("QPX") RHS: the row driver on the
+// native row kernels, AVX2 where the build and CPU have them.
+func BenchmarkTable7RHSQPX(b *testing.B) { benchRHS(b, core.NewRHS(benchN)) }
 
 // BenchmarkTable7DTScalar times the scalar SOS kernel.
 func BenchmarkTable7DTScalar(b *testing.B) {
@@ -331,7 +333,8 @@ func BenchmarkTable7FWTQPX(b *testing.B) { benchFWT(b, true) }
 
 // --- Table 8: instruction audit --------------------------------------------
 
-// BenchmarkTable8InstructionMix times the audited instruction-mix analysis.
+// BenchmarkTable8InstructionMix times the instruction count of the AVX2
+// kernels' loop bodies.
 func BenchmarkTable8InstructionMix(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rows := core.InstructionMix(benchN)
@@ -341,17 +344,39 @@ func BenchmarkTable8InstructionMix(b *testing.B) {
 	}
 }
 
-// --- Table 9: staged vs fused WENO→HLLE ------------------------------------
+// --- Table 9: staged vs fused RK stage -------------------------------------
 
-// BenchmarkTable9Staged times the non-fused vector path.
-func BenchmarkTable9Staged(b *testing.B) {
-	r := core.NewRHSVec(benchN)
-	r.Staged = true
-	benchRHS(b, r)
+// benchStage times one RK stage of one benchN block on the native row
+// driver: Compute then UpdateScalar, or ComputeFused when fused is set.
+// Under -tags purego this is the portable path's gate.
+func benchStage(b *testing.B, fused bool) {
+	g := benchGrid(benchN, 1)
+	lab := grid.NewLab(benchN)
+	lab.Load(g, grid.PeriodicBC(), g.Blocks[0])
+	r := core.NewRHS(benchN)
+	u := append([]float32(nil), g.Blocks[0].Data...)
+	reg := make([]float32, len(u))
+	rhs := make([]float32, len(u))
+	const a, c, dt = -5.0 / 9.0, 15.0 / 16.0, 1e-9
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if fused {
+			r.ComputeFused(lab, g.H, u, reg, a, c, dt)
+		} else {
+			r.Compute(lab, g.H, rhs)
+			core.UpdateScalar(u, reg, rhs, a, c, dt)
+		}
+	}
+	b.StopTimer()
+	setFlops(b, int64(benchN*benchN*benchN)*core.FusedStageFlopsPerCell(benchN))
 }
 
-// BenchmarkTable9Fused times the micro-fused vector path.
-func BenchmarkTable9Fused(b *testing.B) { benchRHS(b, core.NewRHSVec(benchN)) }
+// BenchmarkTable9Staged times the staged RK stage: Compute, then UpdateScalar.
+func BenchmarkTable9Staged(b *testing.B) { benchStage(b, false) }
+
+// BenchmarkTable9Fused times the fused RK stage (ComputeFused), the one the
+// production step runs.
+func BenchmarkTable9Fused(b *testing.B) { benchStage(b, true) }
 
 // --- Table 10: roofline projections ----------------------------------------
 

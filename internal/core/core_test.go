@@ -57,23 +57,10 @@ type rhsKernel interface {
 	Compute(lab *grid.Lab, h float64, out []float32)
 }
 
-// computeRHSBlocks evaluates the RHS of every block of g: the Vec4 driver
-// when vector is set, else the row driver; staged selects the Vec4
-// baseline or, on the scalar side, the per-face oracle.
-func computeRHSBlocks(t *testing.T, g *grid.Grid, bc grid.BC, vector, staged bool) [][]float32 {
+// computeRHSBlocks evaluates the RHS of every block of g with r.
+func computeRHSBlocks(t *testing.T, g *grid.Grid, bc grid.BC, r rhsKernel) [][]float32 {
 	t.Helper()
 	n := g.N
-	var r rhsKernel
-	switch {
-	case vector:
-		vec := NewRHSVec(n)
-		vec.Staged = staged
-		r = vec
-	case staged:
-		r = newStagedRHS(n)
-	default:
-		r = NewRHS(n)
-	}
 	lab := grid.NewLab(n)
 	outs := make([][]float32, len(g.Blocks))
 	for i, b := range g.Blocks {
@@ -84,21 +71,34 @@ func computeRHSBlocks(t *testing.T, g *grid.Grid, bc grid.BC, vector, staged boo
 	return outs
 }
 
+// namedKernel is an RHS evaluator with its subtest name.
+type namedKernel struct {
+	name string
+	r    rhsKernel
+}
+
+// rhsKernels are the four RHS evaluators the cross-checks compare, under
+// subtest names older than the row driver: the row driver on the Go loops
+// ("scalar-fused") and on the CPU's native row kernels, AVX2 where it has
+// them ("qpx-staged"; the row driver stages a row's face states before
+// HLLE), the per-face oracle ("scalar-staged") and the Vec4 driver
+// ("qpx-fused").
+func rhsKernels(n int) []namedKernel {
+	return []namedKernel{
+		{"scalar-fused", NewRHSGo(n)},
+		{"scalar-staged", newStagedRHS(n)},
+		{"qpx-fused", NewRHSVec(n)},
+		{"qpx-staged", NewRHS(n)},
+	}
+}
+
 func TestRHSUniformIsZero(t *testing.T) {
 	g := smallGrid(8, 2)
 	uniform := physics.Prim{Rho: 1000, U: 3, V: -2, W: 1, P: 1e7, G: physics.Liquid.G(), Pi: physics.Liquid.P()}
 	fillGrid(g, func(x, y, z float64) physics.Prim { return uniform })
-	for _, cfg := range []struct {
-		name           string
-		vector, staged bool
-	}{
-		{"scalar-fused", false, false},
-		{"scalar-staged", false, true},
-		{"qpx-fused", true, false},
-		{"qpx-staged", true, true},
-	} {
-		t.Run(cfg.name, func(t *testing.T) {
-			outs := computeRHSBlocks(t, g, grid.PeriodicBC(), cfg.vector, cfg.staged)
+	for _, k := range rhsKernels(8) {
+		t.Run(k.name, func(t *testing.T) {
+			outs := computeRHSBlocks(t, g, grid.PeriodicBC(), k.r)
 			// Scale: fluxes ~ E*u ~ 1e7*3; differences should cancel to
 			// float32 roundoff of the inputs.
 			for bi, out := range outs {
@@ -117,21 +117,16 @@ func TestRHSScalarVectorAgree(t *testing.T) {
 	g := smallGrid(8, 2)
 	fillGrid(g, smoothField)
 	bc := grid.PeriodicBC()
-	s := computeRHSBlocks(t, g, bc, false, false)
-	v := computeRHSBlocks(t, g, bc, true, false)
-	st := computeRHSBlocks(t, g, bc, false, true)
-	vst := computeRHSBlocks(t, g, bc, true, true)
-	for bi := range s {
-		for i := range s[bi] {
-			ref := float64(s[bi][i])
-			scale := math.Max(math.Abs(ref), 1)
-			for name, other := range map[string]float64{
-				"qpx":        float64(v[bi][i]),
-				"staged":     float64(st[bi][i]),
-				"qpx-staged": float64(vst[bi][i]),
-			} {
-				if math.Abs(float64(other)-ref)/scale > 1e-5 {
-					t.Fatalf("block %d elem %d: %s=%g, scalar=%g", bi, i, name, other, ref)
+	ks := rhsKernels(8)
+	s := computeRHSBlocks(t, g, bc, ks[0].r)
+	for _, k := range ks[1:] {
+		o := computeRHSBlocks(t, g, bc, k.r)
+		for bi := range s {
+			for i := range s[bi] {
+				ref := float64(s[bi][i])
+				scale := math.Max(math.Abs(ref), 1)
+				if math.Abs(float64(o[bi][i])-ref)/scale > 1e-5 {
+					t.Fatalf("block %d elem %d: %s=%g, %s=%g", bi, i, k.name, o[bi][i], ks[0].name, ref)
 				}
 			}
 		}
@@ -155,7 +150,7 @@ func TestRHSContactPreservation(t *testing.T) {
 		return physics.Prim{Rho: rho, P: p0, G: gm, Pi: pi}
 	}
 	fillGrid(g, field)
-	outs := computeRHSBlocks(t, g, grid.DefaultBC(), false, false)
+	outs := computeRHSBlocks(t, g, grid.DefaultBC(), NewRHS(8))
 
 	// Forward-Euler update with a small dt, then verify p and u uniform.
 	dt := 1e-9
@@ -418,8 +413,8 @@ func TestRHSRotationEquivariance(t *testing.T) {
 	fillGrid(g1, base)
 	g2 := smallGrid(n, 1)
 	fillGrid(g2, rotated)
-	o1 := computeRHSBlocks(t, g1, grid.PeriodicBC(), false, false)[0]
-	o2 := computeRHSBlocks(t, g2, grid.PeriodicBC(), false, false)[0]
+	o1 := computeRHSBlocks(t, g1, grid.PeriodicBC(), NewRHS(n))[0]
+	o2 := computeRHSBlocks(t, g2, grid.PeriodicBC(), NewRHS(n))[0]
 
 	// Compare: RHS2 at (x,y,z) must equal the permuted RHS1 at R⁻¹(x,y,z).
 	idx := func(ix, iy, iz, q int) int { return ((iz*n+iy)*n+ix)*nq + q }

@@ -5,8 +5,10 @@ package core
 // naive vs reordered) and the GFLOP/s figures of Tables 5-7.
 //
 // The floating point counts are derived from the scalar kernel sources
-// (one count per arithmetic op, fused multiply-add = 2) and validated
-// against the instrumented instruction audit (audit.go, TestAuditMatches).
+// (one count per arithmetic op, fused multiply-add = 2) and checked against
+// the instruction count of the AVX2 loop bodies (audit.go,
+// TestFlopCountsConsistent): WENOFlops is exactly the arithmetic
+// instructions of wenoRowAVX2.
 
 // WENOFlops is the arithmetic of one wenoMinus/wenoPlus evaluation.
 const WENOFlops = 69

@@ -3,9 +3,8 @@ package core
 import "cubism/internal/qpx"
 
 // Vector variants of the streaming kernels. UP gains nothing from
-// vectorization (it is memory-bound at 0.2 FLOP/B, Table 3) and is included
-// to reproduce exactly that observation in Table 7; SOS benefits from the
-// lane-parallel max reduction.
+// vectorization (it is memory-bound at 0.2 FLOP/B, Table 3); SOS benefits
+// from the lane-parallel max reduction.
 
 // UpdateQPX is the vector UP stage: identical arithmetic to UpdateScalar,
 // four values per step. len(u) must be a multiple of the vector width

@@ -85,6 +85,14 @@ func NewRHS(n int) *RHS {
 	return r
 }
 
+// NewRHSGo is NewRHS with the row kernels' Go loops on every lane, whatever
+// the CPU: the scalar side of Table 7.
+func NewRHSGo(n int) *RHS {
+	r := NewRHS(n)
+	r.avx2 = false
+	return r
+}
+
 // Compute evaluates the RHS of the block assembled in lab with grid spacing
 // h and stores dU/dt into out (block AoS layout, N³ x nq float32).
 func (r *RHS) Compute(lab *grid.Lab, h float64, out []float32) {

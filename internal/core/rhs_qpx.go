@@ -21,9 +21,6 @@ import (
 // the padded registers of the original implementation.
 type RHSVec struct {
 	*RHS
-	// Staged materializes every reconstructed face state of a pencil before
-	// HLLE runs: the non-fused baseline of Table 9.
-	Staged bool
 	// rowA/rowB are flux-row ping-pong buffers for the y-sweep.
 	rowA, rowB *fluxPlane
 }
@@ -110,7 +107,7 @@ func (r *RHSVec) backFusedVec(h float64, u, reg []float32, a, b, dt float64) {
 
 // reconstructX reconstructs the minus/plus states of the four faces
 // fg..fg+3 of an x-pencil whose cell 0 sits at slice offset o.
-func reconstructX(zs *ZSlice, o, fg int, staged bool, stM, stP *[nq][]float64) (m, p faceStateV) {
+func reconstructX(zs *ZSlice, o, fg int) (m, p faceStateV) {
 	load := func(a []float64, k int) qpx.Vec4 { return qpx.Load4(a[o+fg+k:]) }
 	rec := func(a []float64) (qpx.Vec4, qpx.Vec4) {
 		c0, c1, c2 := load(a, -3), load(a, -2), load(a, -1)
@@ -133,33 +130,7 @@ func reconstructX(zs *ZSlice, o, fg int, staged bool, stM, stP *[nq][]float64) (
 	}
 	m = safeguardV(m, cen(-1))
 	p = safeguardV(p, cen(0))
-	if staged {
-		storeStateV(stM, fg, m)
-		storeStateV(stP, fg, p)
-	}
 	return
-}
-
-func storeStateV(dst *[nq][]float64, f int, s faceStateV) {
-	s.r.Store4(dst[0][f:])
-	s.un.Store4(dst[1][f:])
-	s.ut1.Store4(dst[2][f:])
-	s.ut2.Store4(dst[3][f:])
-	s.p.Store4(dst[4][f:])
-	s.g.Store4(dst[5][f:])
-	s.pi.Store4(dst[6][f:])
-}
-
-func loadStateV(src *[nq][]float64, f int) faceStateV {
-	return faceStateV{
-		r:   qpx.Load4(src[0][f:]),
-		un:  qpx.Load4(src[1][f:]),
-		ut1: qpx.Load4(src[2][f:]),
-		ut2: qpx.Load4(src[3][f:]),
-		p:   qpx.Load4(src[4][f:]),
-		g:   qpx.Load4(src[5][f:]),
-		pi:  qpx.Load4(src[6][f:]),
-	}
 }
 
 // storeFluxV writes a 4-lane flux bundle into a fluxPlane at face f.
@@ -180,18 +151,9 @@ func (r *RHSVec) xSweepVec(z int) {
 	zs := r.ring.At(z)
 	for iy := 0; iy < n; iy++ {
 		o := zs.Idx(0, iy)
-		if r.Staged {
-			for fg := 0; fg <= n; fg += qpx.Width {
-				reconstructX(zs, o, fg, true, &r.stM, &r.stP)
-			}
-			for fg := 0; fg <= n; fg += qpx.Width {
-				storeFluxV(r.row, fg, hlleFaceV(loadStateV(&r.stM, fg), loadStateV(&r.stP, fg)))
-			}
-		} else {
-			for fg := 0; fg <= n; fg += qpx.Width {
-				m, p := reconstructX(zs, o, fg, false, nil, nil)
-				storeFluxV(r.row, fg, hlleFaceV(m, p))
-			}
+		for fg := 0; fg <= n; fg += qpx.Width {
+			m, p := reconstructX(zs, o, fg)
+			storeFluxV(r.row, fg, hlleFaceV(m, p))
 		}
 		r.accumulateRowVec(zs, (z*n+iy)*n, o, qu, qv, qw, r.row, 1)
 	}

@@ -8,6 +8,7 @@ import (
 	"math"
 	"math/rand"
 	"os"
+	"reflect"
 	"strconv"
 	"testing"
 
@@ -101,11 +102,23 @@ func dispatchName(avx2 bool) string {
 	return "go"
 }
 
-// rhsWith is NewRHS with the row-kernel choice avx2.
+// rhsWith is NewRHSGo with the row-kernel choice avx2.
 func rhsWith(n int, avx2 bool) *RHS {
-	r := NewRHS(n)
+	r := NewRHSGo(n)
 	r.avx2 = avx2
 	return r
+}
+
+// TestNewRHSGoDiffersOnlyInKernel: NewRHSGo and NewRHS deep-equal exactly
+// when the native choice is the Go loop; Table 7 and Table 9 read the
+// native row kernels that way.
+func TestNewRHSGoDiffersOnlyInKernel(t *testing.T) {
+	if same := reflect.DeepEqual(NewRHS(8), NewRHSGo(8)); same == hasAVX2 {
+		t.Errorf("NewRHS and NewRHSGo deep-equal: %v, with hasAVX2 %v", same, hasAVX2)
+	}
+	if r := NewRHSGo(8); r.avx2 {
+		t.Error("NewRHSGo picks the AVX2 row kernels")
+	}
 }
 
 // withDispatch runs f as a parallel subtest once per choice in dispatches.

@@ -2,8 +2,8 @@
 // core layer (§6): RHS evaluation (CONV → WENO → HLLE → SUM → BACK stages,
 // Figure 1), the UP update kernel, the SOS/DT reduction, in scalar ("C++")
 // and 4-lane vector ("QPX") variants, plus the WENO5 and HLLE row kernels
-// with their AVX2 twins behind the scalar row driver, the per-face staged
-// baseline measured in Table 9 and the instruction-mix audit behind Table 8.
+// with their AVX2 twins behind the scalar row driver, and the count of
+// those twins' instructions behind Table 8.
 package core
 
 import (

@@ -24,7 +24,7 @@ var (
 //
 // The kernel is a pure streaming operation with an operational intensity of
 // about 0.2 FLOP/B — memory-bound on every platform considered, which is
-// why its vectorized variant shows no improvement (Table 7).
+// why the paper's vectorized UP shows no improvement (Table 7).
 func UpdateScalar(u, reg, rhs []float32, a, b, dt float64) {
 	for i := range u {
 		r := a*float64(reg[i]) + dt*float64(rhs[i])

@@ -8,14 +8,15 @@
 // the host CPU instead of Blue Gene/Q, so absolute GFLOP/s differ; rack
 // scaling (Tables 5-6) combines host-measured kernel efficiency with the
 // paper's machine models (roofline + analytic communication volumes); the
-// QPX speedups (Table 7) are reported both as measured on the 4-lane model
-// (serial lanes) and as the modeled hardware-SIMD projection.
+// QPX speedups (Table 7) and the issue-rate analysis (Table 8) come from
+// the AVX2 row kernels that stand in for the paper's QPX code.
 package experiments
 
 import (
 	"fmt"
 	"io"
 	"math"
+	"reflect"
 	"time"
 
 	"cubism/internal/cloud"
@@ -102,32 +103,41 @@ func KernelRate(flopsPerCall int64, minDuration time.Duration, call func()) floa
 	return float64(flopsPerCall*calls) / elapsed / 1e9
 }
 
+// blockLab returns the lab of a one-block test-field grid of edge n, loaded
+// with periodic ghosts, and the grid.
+func blockLab(n int) (*grid.Lab, *grid.Grid) {
+	g := grid.New(grid.Desc{N: n, NBX: 1, NBY: 1, NBZ: 1, H: 1.0 / float64(n)})
+	fillGrid(g, testField)
+	lab := grid.NewLab(n)
+	lab.Load(g, grid.PeriodicBC(), g.Blocks[0])
+	return lab, g
+}
+
 // MeasureRHS returns the sustained GFLOP/s of one RHS evaluation by r
 // (core.RHS or core.RHSVec, built for edge n) over a single block.
 func MeasureRHS(n int, r interface {
 	Compute(lab *grid.Lab, h float64, out []float32)
 }, minDur time.Duration) float64 {
-	g := grid.New(grid.Desc{N: n, NBX: 1, NBY: 1, NBZ: 1, H: 1.0 / float64(n)})
-	fillGrid(g, testField)
-	lab := grid.NewLab(n)
-	lab.Load(g, grid.PeriodicBC(), g.Blocks[0])
+	lab, g := blockLab(n)
 	out := make([]float32, n*n*n*physics.NQ)
 	flops := int64(n*n*n) * core.RHSFlopsPerCell(n)
 	return KernelRate(flops, minDur, func() { r.Compute(lab, g.H, out) })
 }
 
+// nativeAVX2 reports whether core.NewRHS runs the AVX2 row kernels. It
+// differs from core.NewRHSGo only in that choice, so the two deep-equal
+// exactly when this build or CPU has no AVX2 twin.
+func nativeAVX2(n int) bool {
+	return !reflect.DeepEqual(core.NewRHS(n), core.NewRHSGo(n))
+}
+
 // MeasureDT returns the sustained GFLOP/s of the SOS kernel on one block.
-func MeasureDT(n int, vector bool, minDur time.Duration) float64 {
-	g := grid.New(grid.Desc{N: n, NBX: 1, NBY: 1, NBZ: 1, H: 1.0 / float64(n)})
-	fillGrid(g, testField)
+func MeasureDT(n int, minDur time.Duration) float64 {
+	_, g := blockLab(n)
 	data := g.Blocks[0].Data
 	flops := int64(n*n*n) * core.SOSFlopsPerCell
 	var sink float64
-	f := func() { sink += core.MaxCharVelScalar(data) }
-	if vector {
-		f = func() { sink += core.MaxCharVelQPX(data) }
-	}
-	r := KernelRate(flops, minDur, f)
+	r := KernelRate(flops, minDur, func() { sink += core.MaxCharVelScalar(data) })
 	if sink < 0 {
 		panic("unreachable")
 	}
@@ -135,7 +145,7 @@ func MeasureDT(n int, vector bool, minDur time.Duration) float64 {
 }
 
 // MeasureUP returns the sustained GFLOP/s of the UP kernel on one block.
-func MeasureUP(n int, vector bool, minDur time.Duration) float64 {
+func MeasureUP(n int, minDur time.Duration) float64 {
 	values := n * n * n * physics.NQ
 	u := make([]float32, values)
 	reg := make([]float32, values)
@@ -145,11 +155,7 @@ func MeasureUP(n int, vector bool, minDur time.Duration) float64 {
 		rhs[i] = float32(i%5) - 2
 	}
 	flops := int64(values) * core.UpdateFlopsPerValue
-	f := func() { core.UpdateScalar(u, reg, rhs, -5.0/9.0, 15.0/16.0, 1e-6) }
-	if vector {
-		f = func() { core.UpdateQPX(u, reg, rhs, -5.0/9.0, 15.0/16.0, 1e-6) }
-	}
-	return KernelRate(flops, minDur, f)
+	return KernelRate(flops, minDur, func() { core.UpdateScalar(u, reg, rhs, -5.0/9.0, 15.0/16.0, 1e-6) })
 }
 
 // line writes a formatted row.

@@ -37,31 +37,92 @@ func TestTable4ImbalanceShape(t *testing.T) {
 	}
 }
 
+// TestTable8Output: Table 8 prints every stage, the AVX2 stages at density
+// 1 (the kernels issue no FMA) and the stages without a twin as scalar.
 func TestTable8Output(t *testing.T) {
 	var b bytes.Buffer
 	Table8(&b, 16)
+	rows := map[string]string{}
+	for _, l := range strings.Split(b.String(), "\n") {
+		if f := strings.Fields(l); len(f) > 0 {
+			rows[f[0]] = l
+		}
+	}
 	for _, want := range []string{"CONV", "WENO", "HLLE", "SUM", "BACK", "ALL"} {
-		if !strings.Contains(b.String(), want) {
-			t.Errorf("missing stage %q", want)
+		if _, ok := rows[want]; !ok {
+			t.Errorf("missing stage %q in:\n%s", want, b.String())
+		}
+	}
+	for _, s := range []string{"WENO", "HLLE"} {
+		if !strings.Contains(rows[s], "1.00 x 4") {
+			t.Errorf("%s row %q, want density 1.00 x 4", s, rows[s])
+		}
+	}
+	for _, s := range []string{"CONV", "SUM", "BACK"} {
+		if !strings.Contains(rows[s], "scalar") {
+			t.Errorf("%s row %q, want scalar", s, rows[s])
 		}
 	}
 }
 
-// TestTable9Output: Table 9 prints the paper's pair, the Vec4 staged and
-// fused drivers with positive rates, and the paper's line.
+// TestTable7Output: Table 7 prints the RHS row as the Go loop against
+// AVX2 (n/a without it), DT, UP and FWT as scalar rates only, and the
+// paper's line, with no projection column.
+func TestTable7Output(t *testing.T) {
+	var b bytes.Buffer
+	Table7(&b, 8, quick)
+	out := b.String()
+	rows := map[string][]string{}
+	for _, l := range strings.Split(out, "\n") {
+		if f := strings.Fields(l); len(f) == 4 {
+			rows[f[0]] = f[1:]
+		}
+	}
+	rhs := rows["RHS"]
+	if len(rhs) != 3 {
+		t.Fatalf("no RHS row in:\n%s", out)
+	}
+	if rhs[1] != "n/a" || rhs[2] != "n/a" {
+		var scalar, vector, x float64
+		if _, err := fmt.Sscanf(strings.Join(rhs, " "), "%f %f %fX", &scalar, &vector, &x); err != nil || scalar <= 0 || vector <= 0 || x <= 0 {
+			t.Errorf("RHS row %q (%v) in:\n%s", rhs, err, out)
+		}
+	}
+	for _, k := range []string{"DT", "UP", "FWT"} {
+		r := rows[k]
+		if len(r) != 3 || r[1] != "-" || r[2] != "-" {
+			t.Errorf("%s row %q, want a scalar rate only, in:\n%s", k, r, out)
+			continue
+		}
+		if v, err := strconv.ParseFloat(r[0], 64); err != nil || v <= 0 {
+			t.Errorf("%s rate %q in:\n%s", k, r[0], out)
+		}
+	}
+	if !strings.Contains(out, "paper: RHS 2.21->8.27 (3.7X)") || strings.Contains(out, "projection") {
+		t.Errorf("want the paper line and no projection column in:\n%s", out)
+	}
+}
+
+// TestTable9Output: Table 9 prints the row driver's staged and fused RK
+// stage, labelled with its row kernels, with positive rates, and the
+// paper's line.
 func TestTable9Output(t *testing.T) {
 	var b bytes.Buffer
 	Table9(&b, 8, quick)
 	out := b.String()
 	var row string
 	for _, l := range strings.Split(out, "\n") {
-		if strings.HasPrefix(l, "qpx ") {
+		if strings.Contains(l, " staged ") {
 			row = l
 		}
 	}
+	var kernel string
 	var staged, fused, imp float64
-	if _, err := fmt.Sscanf(row, "qpx staged %f GF/s fused %f GF/s improvement %fX", &staged, &fused, &imp); err != nil {
-		t.Fatalf("no qpx row (%v) in:\n%s", err, out)
+	if _, err := fmt.Sscanf(row, "%s staged %f GF/s fused %f GF/s improvement %fX", &kernel, &staged, &fused, &imp); err != nil {
+		t.Fatalf("no staged/fused row (%v) in:\n%s", err, out)
+	}
+	if kernel != "go" && kernel != "avx2" {
+		t.Errorf("row kernel %q, want go or avx2, in:\n%s", kernel, out)
 	}
 	if staged <= 0 || fused <= 0 || imp <= 0 {
 		t.Errorf("rates staged %g fused %g improvement %g in:\n%s", staged, fused, imp, out)
@@ -69,22 +130,22 @@ func TestTable9Output(t *testing.T) {
 	if !strings.Contains(out, "paper (QPX): baseline 7.9 -> fused 9.2 GFLOP/s") {
 		t.Errorf("missing the paper line in:\n%s", out)
 	}
-	if strings.Contains(out, "scalar") {
-		t.Errorf("a scalar row in:\n%s", out)
+	if strings.Contains(out, "qpx ") {
+		t.Errorf("a Vec4 row in:\n%s", out)
 	}
 }
 
 func TestMeasureKernelsPositive(t *testing.T) {
+	if v := MeasureRHS(8, core.NewRHSGo(8), quick); v <= 0 {
+		t.Errorf("Go-loop RHS rate %g", v)
+	}
 	if v := MeasureRHS(8, core.NewRHS(8), quick); v <= 0 {
-		t.Errorf("scalar RHS rate %g", v)
+		t.Errorf("native RHS rate %g", v)
 	}
-	if v := MeasureRHS(8, core.NewRHSVec(8), quick); v <= 0 {
-		t.Errorf("vector RHS rate %g", v)
-	}
-	if v := MeasureDT(8, false, quick); v <= 0 {
+	if v := MeasureDT(8, quick); v <= 0 {
 		t.Errorf("DT rate %g", v)
 	}
-	if v := MeasureUP(8, true, quick); v <= 0 {
+	if v := MeasureUP(8, quick); v <= 0 {
 		t.Errorf("UP rate %g", v)
 	}
 }

@@ -126,7 +126,7 @@ func Table4(w io.Writer, n int) Table4Result {
 }
 
 // rackModel estimates the per-kernel peak fraction at a given rack count by
-// combining (a) the issue-rate bound of the audited instruction mix, (b)
+// combining (a) the issue-rate bound of the counted instruction mix, (b)
 // the roofline bound on BGQ, (c) the implementation efficiency measured on
 // this host (sustained/roofline-attainable), and (d) an analytic
 // communication overhead for the halo exchange at that scale.
@@ -143,9 +143,9 @@ func newRackModel(n int, minDur time.Duration) *rackModel {
 	// the kernel's operational intensity.
 	rhs := MeasureRHS(n, core.NewRHS(n), minDur)
 	eff["RHS"] = rhs / host.Attainable(core.OperationalIntensityRHS(n))
-	dt := MeasureDT(n, false, minDur)
+	dt := MeasureDT(n, minDur)
 	eff["DT"] = dt / host.Attainable(core.OperationalIntensityDT())
-	up := MeasureUP(n, false, minDur)
+	up := MeasureUP(n, minDur)
 	eff["UP"] = up / host.Attainable(core.OperationalIntensityUP())
 	for k, v := range eff {
 		if v > 1 {
@@ -332,42 +332,32 @@ func measureClusterRHS(n, nb, ranks, workersPerRank int, minDur time.Duration) f
 	return aggregate
 }
 
-// Table7 regenerates the core-layer comparison: scalar ("C++") vs 4-lane
-// vector ("QPX") implementations of RHS, DT, UP and FWT.
+// Table7 regenerates the core-layer comparison: scalar ("C++") against
+// 4-lane vector ("QPX") builds of the kernels. The RHS row times the row
+// driver on its Go loops against the same driver on the AVX2 row kernels
+// (n/a where the build or CPU has none). DT, UP and FWT have no 4-lane
+// twin yet and print their scalar rate only.
 //
 // Paper values (GFLOP/s): RHS 2.21->8.27 (3.7X), DT 0.90->1.96 (2.2X),
-// UP 0.30->0.29 (1X), FWT 0.40->1.29 (3.2X). The Go vector model executes
-// its four lanes serially, so the measured improvement isolates the
-// *structural* benefits (branch elimination, fused arithmetic, SoA access);
-// the hardware-SIMD projection multiplies the structural gain by the lane
-// width wherever the kernel is not memory-bound.
+// UP 0.30->0.29 (1X), FWT 0.40->1.29 (3.2X).
 func Table7(w io.Writer, n int, minDur time.Duration) {
-	header(w, "Table 7: core-layer kernels, scalar vs QPX-model vector")
-	type row struct {
-		name           string
-		scalar, vector float64
-		memBound       bool
+	header(w, "Table 7: core-layer kernels, Go loop vs AVX2")
+	line(w, "%-6s %14s %14s %10s", "", "scalar GF/s", "AVX2 GF/s", "X")
+	scalar := MeasureRHS(n, core.NewRHSGo(n), minDur)
+	if nativeAVX2(n) {
+		vector := MeasureRHS(n, core.NewRHS(n), minDur)
+		line(w, "%-6s %14.2f %14.2f %9.2fX", "RHS", scalar, vector, vector/scalar)
+	} else {
+		line(w, "%-6s %14.2f %14s %10s", "RHS", scalar, "n/a", "n/a")
 	}
-	rows := []row{
-		{name: "RHS", scalar: MeasureRHS(n, core.NewRHS(n), minDur), vector: MeasureRHS(n, core.NewRHSVec(n), minDur)},
-		{name: "DT", scalar: MeasureDT(n, false, minDur), vector: MeasureDT(n, true, minDur)},
-		{name: "UP", scalar: MeasureUP(n, false, minDur), vector: MeasureUP(n, true, minDur), memBound: true},
-		{name: "FWT", scalar: measureFWT(n, false, minDur), vector: measureFWT(n, true, minDur)},
-	}
-	line(w, "%-6s %14s %14s %12s %24s", "", "scalar GF/s", "vector GF/s", "measured X", "HW-SIMD projection X")
-	for _, r := range rows {
-		imp := r.vector / r.scalar
-		proj := imp * 4
-		if r.memBound {
-			proj = imp // memory-bound: lanes do not help (paper: UP 1X)
-		}
-		line(w, "%-6s %14.2f %14.2f %11.2fX %23.1fX", r.name, r.scalar, r.vector, imp, proj)
-	}
+	line(w, "%-6s %14.2f %14s %10s", "DT", MeasureDT(n, minDur), "-", "-")
+	line(w, "%-6s %14.2f %14s %10s", "UP", MeasureUP(n, minDur), "-", "-")
+	line(w, "%-6s %14.2f %14s %10s", "FWT", measureFWT(n, minDur), "-", "-")
 	line(w, "paper: RHS 2.21->8.27 (3.7X)  DT 0.90->1.96 (2.2X)  UP 0.30->0.29 (1X)  FWT 0.40->1.29 (3.2X)")
 }
 
 // measureFWT returns sustained GFLOP/s of the forward wavelet transform.
-func measureFWT(n int, vector bool, minDur time.Duration) float64 {
+func measureFWT(n int, minDur time.Duration) float64 {
 	if n&(n-1) != 0 {
 		n = 16
 	}
@@ -377,16 +367,12 @@ func measureFWT(n int, vector bool, minDur time.Duration) float64 {
 		data[i] = float32(i%97) * 0.25
 	}
 	flops := int64(n*n*n) * wavelet.FlopsPerCell
-	f := func() { tr.Forward(data) }
-	if vector {
-		f = func() { tr.ForwardVec(data) }
-	}
-	return KernelRate(flops, minDur, f)
+	return KernelRate(flops, minDur, func() { tr.Forward(data) })
 }
 
 // Table8 regenerates the issue-rate analysis: FLOP/instruction density per
-// RHS stage and the implied peak bound, from the instrumented instruction
-// audit.
+// RHS stage and the implied peak bound, counted from the loop bodies of
+// the AVX2 row kernels. Stages that still run scalar Go print "scalar".
 //
 // Paper values: CONV 1% 1.10x4 55%; WENO 83% 1.56x4 78%; HLLE 13% 1.30x4
 // 65%; SUM 2% 1.22x4 61%; BACK <1% 1.28x4 64%; ALL 1.51x4 76%.
@@ -394,23 +380,40 @@ func Table8(w io.Writer, n int) {
 	header(w, "Table 8: performance estimation based on the issue rate")
 	line(w, "%-6s %8s %14s %8s", "stage", "weight", "FLOP/instr", "peak")
 	for _, r := range core.InstructionMix(n) {
+		if r.Density == 0 {
+			line(w, "%-6s %7.0f%% %14s %8s", r.Stage, 100*r.Weight, "scalar", "-")
+			continue
+		}
 		line(w, "%-6s %7.0f%% %10.2f x 4 %7.0f%%", r.Stage, 100*r.Weight, r.Density, 100*r.PeakBound)
 	}
 	line(w, "paper: CONV 1%% 1.10 55%% | WENO 83%% 1.56 78%% | HLLE 13%% 1.30 65%% | SUM 2%% 1.22 61%% | BACK <1%% 1.28 64%% | ALL 1.51 76%%")
 }
 
-// Table9 regenerates the micro-fusion comparison on the Vec4 driver: the
-// WENO->HLLE pipeline with materialized face states (staged) against the
-// fused per-face path.
+// Table9 regenerates the fusion comparison on the row driver: one RK stage
+// of a block as Compute followed by UpdateScalar (staged) against
+// ComputeFused (fused), the fusion the production step runs. The row is
+// labelled with the row kernels the driver runs.
 //
 // Paper values: 7.9 -> 9.2 GFLOP/s (1.2X GFLOP/s, 1.3X time).
 func Table9(w io.Writer, n int, minDur time.Duration) {
-	header(w, "Table 9: WENO kernel, staged vs micro-fused (QPX model)")
-	base := core.NewRHSVec(n)
-	base.Staged = true
-	staged := MeasureRHS(n, base, minDur)
-	fused := MeasureRHS(n, core.NewRHSVec(n), minDur)
-	line(w, "qpx      staged %7.2f GF/s   fused %7.2f GF/s   improvement %.2fX", staged, fused, fused/staged)
+	header(w, "Table 9: RHS stage, staged vs fused (row driver)")
+	r := core.NewRHS(n)
+	lab, g := blockLab(n)
+	u := append([]float32(nil), g.Blocks[0].Data...)
+	reg := make([]float32, len(u))
+	rhs := make([]float32, len(u))
+	const a, b, dt = -5.0 / 9.0, 15.0 / 16.0, 1e-9
+	flops := int64(n*n*n) * core.FusedStageFlopsPerCell(n)
+	staged := KernelRate(flops, minDur, func() {
+		r.Compute(lab, g.H, rhs)
+		core.UpdateScalar(u, reg, rhs, a, b, dt)
+	})
+	fused := KernelRate(flops, minDur, func() { r.ComputeFused(lab, g.H, u, reg, a, b, dt) })
+	kernel := "go"
+	if nativeAVX2(n) {
+		kernel = "avx2"
+	}
+	line(w, "%-8s staged %7.2f GF/s   fused %7.2f GF/s   improvement %.2fX", kernel, staged, fused, fused/staged)
 	line(w, "paper (QPX): baseline 7.9 -> fused 9.2 GFLOP/s (1.2X GFLOP/s, 1.3X cycles)")
 }
 

@@ -2,10 +2,11 @@
 // Performance Monitor (HPM) the paper uses to report weighted GFLOP/s.
 //
 // Kernels declare their floating-point operation count and off-chip byte
-// traffic analytically (the counts are validated against the instruction
-// audit in internal/core); perf combines those with wall-clock timings into
-// GFLOP/s, operational intensity (FLOP/B) and peak fractions, and computes
-// the work-imbalance statistic (tmax-tmin)/tavg used by Table 4.
+// traffic analytically (the counts are checked against the AVX2 kernels'
+// instruction count in internal/core); perf combines those with wall-clock
+// timings into GFLOP/s, operational intensity (FLOP/B) and peak fractions,
+// and computes the work-imbalance statistic (tmax-tmin)/tavg used by
+// Table 4.
 package perf
 
 import (

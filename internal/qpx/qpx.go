@@ -7,8 +7,9 @@
 // package substitutes a portable model: Vec4 is a four-field struct whose
 // method set mirrors the QPX operations used by CUBISM-MPCF. Kernels written
 // against Vec4 keep the *structure* of the vector code — AoS/SoA conversion,
-// lane shuffles for stencil shifts, branch-free selects — which is what the
-// paper's FLOP/instruction-density analysis (Table 8) measures.
+// lane shuffles for stencil shifts, branch-free selects. The paper's tables
+// are measured and counted on the AVX2 row kernels of internal/core
+// instead; this model stays only until its last callers are gone.
 //
 // Vec4 is a struct rather than a [4]float64 array because the Go compiler
 // SSA-decomposes small structs into registers but spills arrays to the
