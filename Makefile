@@ -35,15 +35,15 @@ race:
 	$(GO) test -race -count=50 -run TestPool ./internal/node
 
 # The portable build: the purego tag drops the assembly row kernels
-# (internal/core/wenorow_amd64.s, hllerow_amd64.s), so every kernel runs its
-# Go loop. The solver packages must vet and pass their tests that way too,
-# and the portable path's gate (BenchmarkTable9Fused, with BenchmarkRHSRows)
-# runs one iteration.
+# (internal/core/*_amd64.s: WENO, HLLE, SUM, UP and CONV), so every kernel
+# runs its Go loop. The solver packages must vet and pass their tests that
+# way too, and the portable path's gate (BenchmarkTable9Fused, with
+# BenchmarkRHSRows and BenchmarkUpdateRows) runs one iteration.
 PUREGO_PKGS = ./internal/core ./internal/node ./internal/cluster
 purego:
 	$(GO) vet -tags purego $(PUREGO_PKGS)
 	$(GO) test -tags purego $(PUREGO_PKGS)
-	$(GO) test -tags purego -run '^$$' -bench 'Table9|RHSRows' -benchtime 1x . ./internal/core
+	$(GO) test -tags purego -run '^$$' -bench 'Table9|RHSRows|UpdateRows' -benchtime 1x . ./internal/core
 
 # arm64 has no assembly kernels and no emulator here: cross-build everything
 # and vet the kernel package.
@@ -51,11 +51,11 @@ arm64:
 	GOARCH=arm64 $(GO) build ./...
 	GOARCH=arm64 $(GO) vet ./internal/core
 
-# One iteration of Table 9's staged/fused pair on the row driver and of its
-# grind-time benchmark (BenchmarkRHSRows), so they run on every check, not
-# only compile.
+# One iteration of Table 9's staged/fused pair on the row driver, of its
+# grind-time benchmark (BenchmarkRHSRows) and of the UP row kernel's
+# (BenchmarkUpdateRows), so they run on every check, not only compile.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'Table9|RHSRows' -benchtime 1x . ./internal/core
+	$(GO) test -run '^$$' -bench 'Table9|RHSRows|UpdateRows' -benchtime 1x . ./internal/core
 
 # Flake sweep of the concurrency packages — the per-step collective
 # schedule (sim, cluster, mpi), the worker pool (node), the wire (transport,

@@ -13,15 +13,21 @@ import (
 //
 // Here the four-lane kernels are the AVX2 row kernels, written by hand, so
 // the audit reads their loop bodies. The files are embedded (go:embed
-// ignores build tags), so every build prints the same table. Stages with no
-// four-lane twin yet (CONV, SUM, BACK) run scalar Go: each of their FLOPs
+// ignores build tags), so every build prints the same table. BACK, the one
+// stage with no four-lane twin, runs scalar Go: each of its FLOPs
 // (flops.go) counts as one scalar instruction.
+
+//go:embed convrow_amd64.s
+var convRowAsm string
 
 //go:embed wenorow_amd64.s
 var wenoRowAsm string
 
 //go:embed hllerow_amd64.s
 var hlleRowAsm string
+
+//go:embed sumrow_amd64.s
+var sumRowAsm string
 
 // opClass is the Table 8 category of an instruction.
 type opClass int
@@ -32,6 +38,7 @@ const (
 	opCmp                  // compare into a lane mask
 	opBlend                // mask logic and blends: the Go code's branches
 	opPerm                 // inter-lane permutation
+	opConv                 // float32 ↔ float64 conversion
 	opMem                  // moves, loads, stores, loop control: not counted
 	numOpClasses
 )
@@ -43,8 +50,10 @@ var opClasses = map[string]opClass{
 	"VDIVPD": opDiv, "VSQRTPD": opDiv,
 	"VCMPPD":    opCmp,
 	"VBLENDVPD": opBlend, "VANDPD": opBlend, "VANDNPD": opBlend, "VORPD": opBlend,
-	"VPERMPD": opPerm, "VPERM2F128": opPerm, "VSHUFPD": opPerm,
-	"VMOVUPD": opMem, "MOVQ": opMem, "ADDQ": opMem, "CMPQ": opMem,
+	"VBLENDPS": opBlend,
+	"VPERMPD":  opPerm, "VPERM2F128": opPerm, "VSHUFPD": opPerm,
+	"VCVTPS2PD": opConv, "VCVTPD2PSY": opConv,
+	"VMOVUPD": opMem, "VMOVUPS": opMem, "MOVQ": opMem, "ADDQ": opMem, "CMPQ": opMem,
 }
 
 // loopOps counts the instructions, by mnemonic, of the loop body of an
@@ -120,7 +129,7 @@ func classify(ops map[string]int) (c [numOpClasses]int) {
 // control.
 func vectorInstructions(src string) int {
 	c := classify(loopOps(src))
-	return c[opArith] + c[opDiv] + c[opCmp] + c[opBlend] + c[opPerm]
+	return c[opArith] + c[opDiv] + c[opCmp] + c[opBlend] + c[opPerm] + c[opConv]
 }
 
 // StageMix is one row of Table 8.
@@ -138,18 +147,19 @@ type StageMix struct {
 // scalar one 1 FLOP. The bound assumes one instruction per cycle against a
 // fused multiply-add peak, as the paper does: Density / 2.
 func InstructionMix(n int) []StageMix {
-	// Per 4 cells: 3(n+1)/n groups of 4 faces, each with 14 WENO
-	// reconstructions (7 quantities, minus and plus) and one HLLE flux.
+	// Per 4 cells: ghostFactor(n) groups of 4 converted cells; 3(n+1)/n
+	// groups of 4 faces, each with 14 WENO reconstructions (7 quantities,
+	// minus and plus) and one HLLE flux; one SUM group per direction.
 	faceGroups := 3 * float64(n+1) / float64(n)
 	stages := []struct {
 		name  string
 		lanes int
 		ins   float64
 	}{
-		{"CONV", 1, 4 * ghostFactor(n) * ConvFlopsPerCell},
+		{"CONV", 4, ghostFactor(n) * float64(vectorInstructions(convRowAsm))},
 		{"WENO", 4, faceGroups * 2 * nq * float64(vectorInstructions(wenoRowAsm))},
 		{"HLLE", 4, faceGroups * float64(vectorInstructions(hlleRowAsm))},
-		{"SUM", 1, 4 * SumFlopsPerCell},
+		{"SUM", 4, 3 * float64(vectorInstructions(sumRowAsm))},
 		{"BACK", 1, 4 * BackFlopsPerCell},
 	}
 	var total, flops float64

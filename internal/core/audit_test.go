@@ -1,12 +1,19 @@
 package core
 
 import (
+	_ "embed"
 	"maps"
 	"math"
 	"testing"
 
 	"cubism/internal/physics"
 )
+
+// The UP row kernel is no RHS stage, so Table 8 does not count it; its pin
+// below reads it as the table's kernels are read.
+//
+//go:embed update_amd64.s
+var updateRowAsm string
 
 // TestAuditWENOMatchesKernel: Table 8's WENO row counts the loop body of
 // wenoRowAVX2 as written: 65 arithmetic instructions and 4 divides, no
@@ -45,9 +52,71 @@ func TestAuditHLLEMatchesKernel(t *testing.T) {
 	}
 }
 
+// TestAuditSUMMatchesKernel: Table 8's SUM row counts the loop body of
+// sumRowAVX2 with its DIFF, NONCONS and SUB macros expanded: per 4 cells and
+// direction, the face-velocity difference, seven flux differences, seven
+// accumulator updates and the two non-conservative terms.
+func TestAuditSUMMatchesKernel(t *testing.T) {
+	ops := loopOps(sumRowAsm)
+	want := map[string]int{
+		"VSUBPD": 17, "VMULPD": 2,
+		"VMOVUPD": 23, "MOVQ": 16, "ADDQ": 1, "CMPQ": 1,
+	}
+	if !maps.Equal(ops, want) {
+		t.Errorf("sumrow_amd64.s loop body %v, want %v", ops, want)
+	}
+	if got, want := classify(ops), [numOpClasses]int{opArith: 19, opMem: 41}; got != want {
+		t.Errorf("SUM classes %v, want %v", got, want)
+	}
+}
+
+// TestAuditCONVMatchesKernel: Table 8's CONV row counts the loop body of
+// convRowAVX2 with its GATHER macro expanded: three blends from memory and
+// one widening per quantity, then the equation of state, whose 14
+// arithmetic instructions are ConvFlopsPerCell one for one.
+func TestAuditCONVMatchesKernel(t *testing.T) {
+	ops := loopOps(convRowAsm)
+	want := map[string]int{
+		"VADDPD": 2, "VSUBPD": 2, "VMULPD": 8, "VDIVPD": 2,
+		"VBLENDPS": 21, "VCVTPS2PD": 7,
+		"VMOVUPS": 7, "VMOVUPD": 7, "ADDQ": 2, "CMPQ": 1,
+	}
+	if !maps.Equal(ops, want) {
+		t.Errorf("convrow_amd64.s loop body %v, want %v", ops, want)
+	}
+	c := classify(ops)
+	if want := [numOpClasses]int{opArith: 12, opDiv: 2, opBlend: 21, opConv: 7, opMem: 17}; c != want {
+		t.Errorf("CONV classes %v, want %v", c, want)
+	}
+	if got := c[opArith] + c[opDiv]; got != ConvFlopsPerCell {
+		t.Errorf("CONV loop body: %d arithmetic instructions, ConvFlopsPerCell = %d", got, ConvFlopsPerCell)
+	}
+}
+
+// TestAuditUPMatchesKernel: the loop body of updateRowAVX2 is the UP
+// arithmetic, UpdateFlopsPerValue instructions per 4 values, between three
+// widenings and two narrowings.
+func TestAuditUPMatchesKernel(t *testing.T) {
+	ops := loopOps(updateRowAsm)
+	want := map[string]int{
+		"VMULPD": 3, "VADDPD": 2, "VCVTPS2PD": 3, "VCVTPD2PSY": 2,
+		"VMOVUPS": 2, "ADDQ": 1, "CMPQ": 1,
+	}
+	if !maps.Equal(ops, want) {
+		t.Errorf("update_amd64.s loop body %v, want %v", ops, want)
+	}
+	c := classify(ops)
+	if want := [numOpClasses]int{opArith: 5, opConv: 5, opMem: 4}; c != want {
+		t.Errorf("UP classes %v, want %v", c, want)
+	}
+	if got := c[opArith]; got != UpdateFlopsPerValue {
+		t.Errorf("UP loop body: %d arithmetic instructions, UpdateFlopsPerValue = %d", got, UpdateFlopsPerValue)
+	}
+}
+
 // TestInstructionMixShape: the counted mix has the structure of Table 8.
 // WENO dominates the instruction stream; the AVX2 stages have density 1
-// (no FMA) and the scalar stages none; the weights sum to 1; and the
+// (no FMA) and the scalar stage (BACK) none; the weights sum to 1; and the
 // overall density lies between scalar (0.25) and pure vector (1).
 func TestInstructionMixShape(t *testing.T) {
 	rows := InstructionMix(16)
@@ -61,7 +130,7 @@ func TestInstructionMixShape(t *testing.T) {
 	if w := byName["WENO"].Weight; w < 0.5 {
 		t.Errorf("WENO weight %.2f, want > 0.5 (paper: 0.83)", w)
 	}
-	for _, name := range []string{"WENO", "HLLE"} {
+	for _, name := range []string{"CONV", "WENO", "HLLE", "SUM"} {
 		if r := byName[name]; r.Density != 1 || r.PeakBound != 0.5 {
 			t.Errorf("%s density %g bound %g, want 1 and 0.5 (AVX2, no FMA)", name, r.Density, r.PeakBound)
 		}
@@ -80,7 +149,7 @@ func TestInstructionMixShape(t *testing.T) {
 	if math.Abs(sum-1) > 1e-9 {
 		t.Errorf("stage weights sum to %g", sum)
 	}
-	for _, name := range []string{"CONV", "SUM", "BACK"} {
+	for _, name := range []string{"BACK"} {
 		if r := byName[name]; r.Density != 0 || r.PeakBound != 0 {
 			t.Errorf("%s density %g bound %g, want 0 (scalar code)", name, r.Density, r.PeakBound)
 		}
@@ -106,6 +175,11 @@ func TestFlopCountsConsistent(t *testing.T) {
 	if ratio < 0.7 || ratio > 1.6 {
 		t.Errorf("HLLE counted/analytic ratio %.2f outside [0.7, 1.6] (counted %d, analytic %d)",
 			ratio, vectorInstructions(hlleRowAsm), HLLEFlops)
+	}
+	// SUM: 19 per direction against SumFlopsPerCell's 18, which leaves out
+	// the face-velocity difference.
+	if got := 3 * vectorInstructions(sumRowAsm); got != SumFlopsPerCell+3 {
+		t.Errorf("SUM loop bodies: %d instructions per cell, SumFlopsPerCell+3 = %d", got, SumFlopsPerCell+3)
 	}
 }
 

@@ -105,9 +105,10 @@ func OperationalIntensityUP() float64 {
 
 // FusedUpdateBytesPerValue is the compulsory traffic of one UP element when
 // the update is fused into the RHS BACK stage: u and reg are each read and
-// written once; the rhs value is consumed in-register out of the
-// accumulator and never round-trips through memory (vs. a write in BACK
-// plus a read in UP for the staged path).
+// written once; the rhs value passes from the accumulator through an
+// L1-resident layer buffer (N² x nq float32) into UP and never round-trips
+// through the block's temporary area in memory (vs. a write in BACK plus a
+// read in UP for the staged path).
 const FusedUpdateBytesPerValue = 4 * 4
 
 // FusedStageFlopsPerCell returns the arithmetic per cell of one fused

@@ -22,10 +22,9 @@ func hlleRow(ms, ps *[nq][]float64, st *[nq]stencil, dst *fluxPlane, j0, n int, 
 	k := 0
 	if avx2 && n >= 4 {
 		k = n &^ 3
-		a := hlleRowArgs{out: [8]*float64{
-			&dst.fr[j0], &dst.fun[j0], &dst.fut1[j0], &dst.fut2[j0],
-			&dst.fe[j0], &dst.fg[j0], &dst.fpi[j0], &dst.ustar[j0],
-		}}
+		var a hlleRowArgs
+		a.out[0], a.out[1], a.out[2], a.out[3] = &dst.fr[j0], &dst.fun[j0], &dst.fut1[j0], &dst.fut2[j0]
+		a.out[4], a.out[5], a.out[6], a.out[7] = &dst.fe[j0], &dst.fg[j0], &dst.fpi[j0], &dst.ustar[j0]
 		for q := range st {
 			a.m[q], a.p[q] = &ms[q][0], &ps[q][0]
 			a.cm[q], a.cp[q] = &st[q][sw-1][0], &st[q][sw][0]

@@ -5,12 +5,23 @@ import "cubism/internal/grid"
 // stagedRHS is the per-face WENO→HLLE driver, kept as the row driver's test
 // oracle: it reconstructs and solves face by face per pencil, the code
 // testdata/rhs_golden.json was recorded from. It reuses the row driver's
-// ring, accumulators, z-face SUM (accumulatePair) and BACK stages.
+// ring and flux planes, and keeps the whole-block accumulator with the
+// block-wide z-face SUM (accumulatePair), BACK (back) and fused BACK+UP
+// (backFused) stages the row driver had before it went one layer at a time.
 type stagedRHS struct {
 	*RHS
+	// acc[q] accumulates the flux differences of quantity q; cell-major
+	// layout (z*N+y)*N+x, length N³.
+	acc [nq][]float64
 }
 
-func newStagedRHS(n int) *stagedRHS { return &stagedRHS{NewRHS(n)} }
+func newStagedRHS(n int) *stagedRHS {
+	r := &stagedRHS{RHS: NewRHS(n)}
+	for q := 0; q < nq; q++ {
+		r.acc[q] = make([]float64, n*n*n)
+	}
+	return r
+}
 
 // Compute is RHS.Compute over the per-face sweeps.
 func (r *stagedRHS) Compute(lab *grid.Lab, h float64, out []float32) {
@@ -45,6 +56,58 @@ func (r *stagedRHS) sweep(lab *grid.Lab) {
 			r.accumulatePair(zs, (z*n+iy)*n, zs.Idx(0, iy), r.zPrev, r.zCur, iy*n, qw, qu, qv)
 		}
 		r.zPrev, r.zCur = r.zCur, r.zPrev
+	}
+}
+
+// back is the BACK stage: scale the SoA accumulators by 1/h and write the
+// result into the block's AoS temporary area.
+func (r *stagedRHS) back(h float64, out []float32) {
+	invH := 1 / h
+	ncells := r.N * r.N * r.N
+	for q := 0; q < nq; q++ {
+		a := r.acc[q]
+		for i := 0; i < ncells; i++ {
+			out[i*nq+q] = float32(a[i] * invH)
+		}
+	}
+}
+
+// backFused is the fused BACK+UP stage: the scaled accumulator value is
+// narrowed to float32 (the same rounding point back applies on its way to
+// memory) and fed straight into the RK update arithmetic of UpdateScalar.
+func (r *stagedRHS) backFused(h float64, u, reg []float32, ca, cb, dt float64) {
+	invH := 1 / h
+	ncells := r.N * r.N * r.N
+	for q := 0; q < nq; q++ {
+		a := r.acc[q]
+		for i := 0; i < ncells; i++ {
+			idx := i*nq + q
+			rhs := float32(a[i] * invH)
+			rr := ca*float64(reg[idx]) + dt*float64(rhs)
+			reg[idx] = float32(rr)
+			u[idx] = float32(float64(u[idx]) + cb*rr)
+		}
+	}
+}
+
+// accumulatePair adds the flux differences of one row of n cells between
+// their high faces hi[j0:] and low faces lo[j0:]: the SUM stage of all three
+// sweeps (an x row passes r.row and its shifted view r.rowHi). base is the
+// accumulator index of cell 0 and so its slice offset; qn/qt1/qt2 map the
+// sweep-normal flux components to quantity indices.
+func (r *stagedRHS) accumulatePair(zs *ZSlice, base, so int, lo, hi *fluxPlane, j0, qn, qt1, qt2 int) {
+	for i := 0; i < r.N; i++ {
+		j := j0 + i
+		ai := base + i
+		si := so + i
+		du := hi.ustar[j] - lo.ustar[j]
+		r.acc[qr][ai] -= hi.fr[j] - lo.fr[j]
+		r.acc[qn][ai] -= hi.fun[j] - lo.fun[j]
+		r.acc[qt1][ai] -= hi.fut1[j] - lo.fut1[j]
+		r.acc[qt2][ai] -= hi.fut2[j] - lo.fut2[j]
+		r.acc[qe][ai] -= hi.fe[j] - lo.fe[j]
+		r.acc[qg][ai] -= hi.fg[j] - lo.fg[j] - zs.G[si]*du
+		r.acc[qp][ai] -= hi.fpi[j] - lo.fpi[j] - zs.Pi[si]*du
 	}
 }
 

@@ -8,22 +8,27 @@ import "cubism/internal/grid"
 // The evaluation follows the paper's computation reordering (§5, Figure 2):
 // the kernel operates on 2D slices in the z-direction held in a ring
 // buffer, performs directional sweeps to evaluate the x-, y- and z-fluxes,
-// and writes the result back to the block's temporary area (BACK stage).
+// and writes each layer of cells back to the block's temporary area (BACK
+// stage) as soon as it has its sums, while the layer is still in cache.
 //
 // The row driver reconstructs a whole row of faces at a time with the WENO5
 // row kernel (wenoRow) over unit-stride views of the slices — shifted views
 // of one row in x, the rows around a face row in y, the six ring slices in
 // z — and then computes the first-order fallback and the HLLE fluxes of the
-// row with the face-row kernel (hlleRow). The accumulator and flux planes
-// are SoA so the scalar and vector drivers share all bookkeeping; the BACK
-// stage converts to the block's AoS layout.
+// row with the face-row kernel (hlleRow). The SUM row kernel (sumRow) adds
+// a row's flux differences into the one-layer SoA accumulator, and the BACK
+// stage converts each layer to the block's AoS layout. CONV (convRow), SUM
+// and ComputeFused's UP (updateRow) are row kernels with AVX2 twins too.
 type RHS struct {
 	N int
 
 	ring *Ring
-	// acc[q] accumulates the flux differences of quantity q; cell-major
-	// layout (z*N+y)*N+x, length N³.
+	// acc[q] accumulates the flux differences of quantity q over one layer
+	// of cells; cell-major layout y*N+x, length N².
 	acc [nq][]float64
+	// lay is ComputeFused's rhs of one layer, narrowed to float32 in the
+	// block's AoS layout (N² x nq), on its way from BACK to UP.
+	lay []float32
 	// z-face flux planes (N² each) at the low and high face of the layer.
 	zPrev, zCur *fluxPlane
 	// y-face flux rows (N each) at the low and high face of a cell row.
@@ -70,6 +75,7 @@ func NewRHS(n int) *RHS {
 		yPrev: newFluxPlane(n),
 		yCur:  newFluxPlane(n),
 		row:   newFluxPlane((n + 1 + 3) &^ 3),
+		lay:   make([]float32, n*n*nq),
 		avx2:  hasAVX2,
 	}
 	row := r.row
@@ -78,7 +84,7 @@ func NewRHS(n int) *RHS {
 		fe: row.fe[1:], fg: row.fg[1:], fpi: row.fpi[1:], ustar: row.ustar[1:],
 	}
 	for q := 0; q < nq; q++ {
-		r.acc[q] = make([]float64, n*n*n)
+		r.acc[q] = make([]float64, n*n)
 		r.stM[q] = make([]float64, (n+1+3)&^3)
 		r.stP[q] = make([]float64, (n+1+3)&^3)
 	}
@@ -94,88 +100,88 @@ func NewRHSGo(n int) *RHS {
 }
 
 // Compute evaluates the RHS of the block assembled in lab with grid spacing
-// h and stores dU/dt into out (block AoS layout, N³ x nq float32).
+// h and stores dU/dt into out (block AoS layout, N³ x nq float32). Each
+// layer of cells goes through BACK into its z-slab of out as soon as it has
+// its sums.
 func (r *RHS) Compute(lab *grid.Lab, h float64, out []float32) {
 	n := r.N
 	if len(out) != n*n*n*nq {
 		panic("core: rhs output size mismatch")
 	}
-	r.sweep(lab)
-	r.back(h, out)
+	m := n * n * nq
+	r.start(lab)
+	for z := 0; z < n; z++ {
+		r.sweep(lab, z)
+		r.back(h, out[z*m:(z+1)*m])
+	}
 }
 
-// ComputeFused evaluates the RHS and immediately applies the low-storage RK
-// update stage (reg ← a·reg + dt·rhs, u ← u + b·reg) while the accumulators
-// are cache-resident: the rhs value is consumed in-register instead of
-// round-tripping through the block's temporary area. It rounds the rhs
-// through float32 exactly like the BACK stage, so the result is bitwise
-// identical to Compute followed by UpdateScalar.
+// ComputeFused evaluates the RHS and applies the low-storage RK update
+// stage (reg ← a·reg + dt·rhs, u ← u + b·reg) one layer at a time: BACK
+// narrows the layer's rhs into the L1-resident layer buffer r.lay and the
+// UP row kernel updates that z-slab of u and reg right away, so the rhs
+// never round-trips through the block's temporary area. The rhs is rounded
+// through float32 as Compute stores it, so the result is bitwise identical
+// to Compute followed by UpdateScalar.
 func (r *RHS) ComputeFused(lab *grid.Lab, h float64, u, reg []float32, a, b, dt float64) {
 	n := r.N
 	if len(u) != n*n*n*nq || len(reg) != len(u) {
 		panic("core: fused rhs+up buffer size mismatch")
 	}
-	r.sweep(lab)
-	r.backFused(h, u, reg, a, b, dt)
+	m := n * n * nq
+	r.start(lab)
+	for z := 0; z < n; z++ {
+		r.sweep(lab, z)
+		r.back(h, r.lay)
+		updateRow(u[z*m:(z+1)*m], reg[z*m:(z+1)*m], r.lay, a, b, dt, r.avx2)
+	}
 }
 
-// sweep runs the directional flux sweeps over the lab, filling the SoA
-// accumulators with the summed flux differences (everything up to BACK).
-// Every cell receives its x, y and z terms in that order.
-func (r *RHS) sweep(lab *grid.Lab) {
+// start primes the ring with the low-side ghost slices and the first
+// interior slices, then bootstraps the z-face flux at the domain-low face.
+func (r *RHS) start(lab *grid.Lab) {
+	for z := -sw; z <= sw-1; z++ {
+		r.ring.load(lab, z, r.avx2)
+	}
+	r.zRows(0, r.zPrev)
+}
+
+// sweep runs the directional flux sweeps of layer z, layers in order after
+// start: it clears the accumulators and fills them with the layer's summed
+// flux differences (everything up to BACK). Every cell receives its x, y
+// and z terms in that order.
+func (r *RHS) sweep(lab *grid.Lab, z int) {
 	n := r.N
 	for q := 0; q < nq; q++ {
 		clear(r.acc[q])
 	}
-
-	// Prime the ring with the low-side ghost slices and the first interior
-	// slices, then bootstrap the z-face flux at the domain-low face.
-	for z := -sw; z <= sw-1; z++ {
-		r.ring.Load(lab, z)
+	r.ring.load(lab, z+sw, r.avx2)
+	r.xRows(z)
+	r.yRows(z)
+	r.zRows(z+1, r.zCur)
+	zs := r.ring.At(z)
+	for iy := 0; iy < n; iy++ {
+		r.accumulatePair(zs, iy*n, zs.Idx(0, iy), r.zPrev, r.zCur, iy*n, qw, qu, qv)
 	}
-	r.zRows(0, r.zPrev)
-
-	for z := 0; z < n; z++ {
-		r.ring.Load(lab, z+sw)
-		r.xRows(z)
-		r.yRows(z)
-		r.zRows(z+1, r.zCur)
-		zs := r.ring.At(z)
-		for iy := 0; iy < n; iy++ {
-			r.accumulatePair(zs, (z*n+iy)*n, zs.Idx(0, iy), r.zPrev, r.zCur, iy*n, qw, qu, qv)
-		}
-		r.zPrev, r.zCur = r.zCur, r.zPrev
-	}
+	r.zPrev, r.zCur = r.zCur, r.zPrev
 }
 
-// back is the BACK stage: scale the SoA accumulators by 1/h and write the
-// result into the block's AoS temporary area.
-func (r *RHS) back(h float64, out []float32) {
+// back is the BACK stage of one layer: scale the SoA accumulators by 1/h
+// and narrow them into dst, the layer's N² x nq float32 AoS slab.
+func (r *RHS) back(h float64, dst []float32) {
 	invH := 1 / h
-	ncells := r.N * r.N * r.N
-	for q := 0; q < nq; q++ {
-		a := r.acc[q]
-		for i := 0; i < ncells; i++ {
-			out[i*nq+q] = float32(a[i] * invH)
-		}
-	}
-}
-
-// backFused is the fused BACK+UP stage: the scaled accumulator value is
-// narrowed to float32 (the same rounding point back applies on its way to
-// memory) and fed straight into the RK update arithmetic of UpdateScalar.
-func (r *RHS) backFused(h float64, u, reg []float32, ca, cb, dt float64) {
-	invH := 1 / h
-	ncells := r.N * r.N * r.N
-	for q := 0; q < nq; q++ {
-		a := r.acc[q]
-		for i := 0; i < ncells; i++ {
-			idx := i*nq + q
-			rhs := float32(a[i] * invH)
-			rr := ca*float64(reg[idx]) + dt*float64(rhs)
-			reg[idx] = float32(rr)
-			u[idx] = float32(float64(u[idx]) + cb*rr)
-		}
+	ncells := r.N * r.N
+	a0, a1, a2, a3 := r.acc[0][:ncells], r.acc[1][:ncells], r.acc[2][:ncells], r.acc[3][:ncells]
+	a4, a5, a6 := r.acc[4][:ncells], r.acc[5][:ncells], r.acc[6][:ncells]
+	for i := range a0 {
+		d := dst[i*nq : i*nq+nq : i*nq+nq]
+		d[0] = float32(a0[i] * invH)
+		d[1] = float32(a1[i] * invH)
+		d[2] = float32(a2[i] * invH)
+		d[3] = float32(a3[i] * invH)
+		d[4] = float32(a4[i] * invH)
+		d[5] = float32(a5[i] * invH)
+		d[6] = float32(a6[i] * invH)
 	}
 }
 
@@ -208,20 +214,11 @@ func (fp *fluxPlane) store(f int, ff faceFlux) {
 // accumulatePair adds the flux differences of one row of n cells between
 // their high faces hi[j0:] and low faces lo[j0:]: the SUM stage of all three
 // sweeps (an x row passes r.row and its shifted view r.rowHi). base is the
-// accumulator index of cell 0 and so its slice offset; qn/qt1/qt2 map the
-// sweep-normal flux components to quantity indices.
+// layer accumulator index of cell 0 and so its slice offset; qn/qt1/qt2 map
+// the sweep-normal flux components to quantity indices.
 func (r *RHS) accumulatePair(zs *ZSlice, base, so int, lo, hi *fluxPlane, j0, qn, qt1, qt2 int) {
-	for i := 0; i < r.N; i++ {
-		j := j0 + i
-		ai := base + i
-		si := so + i
-		du := hi.ustar[j] - lo.ustar[j]
-		r.acc[qr][ai] -= hi.fr[j] - lo.fr[j]
-		r.acc[qn][ai] -= hi.fun[j] - lo.fun[j]
-		r.acc[qt1][ai] -= hi.fut1[j] - lo.fut1[j]
-		r.acc[qt2][ai] -= hi.fut2[j] - lo.fut2[j]
-		r.acc[qe][ai] -= hi.fe[j] - lo.fe[j]
-		r.acc[qg][ai] -= hi.fg[j] - lo.fg[j] - zs.G[si]*du
-		r.acc[qp][ai] -= hi.fpi[j] - lo.fpi[j] - zs.Pi[si]*du
-	}
+	var acc [nq][]float64
+	acc[0], acc[1], acc[2], acc[3] = r.acc[qr][base:], r.acc[qn][base:], r.acc[qt1][base:], r.acc[qt2][base:]
+	acc[4], acc[5], acc[6] = r.acc[qe][base:], r.acc[qg][base:], r.acc[qp][base:]
+	sumRow(&acc, lo, hi, j0, zs.G[so:], zs.Pi[so:], r.N, r.avx2)
 }

@@ -6,8 +6,9 @@ import (
 )
 
 // RHSVec is the explicitly vectorized RHS driver — the paper's QPX code
-// path. It shares the ring buffer, accumulators and flux planes with the
-// scalar driver and replaces the per-face arithmetic with 4-lane bundles:
+// path. It shares the ring buffer and flux planes with the scalar driver,
+// keeps a whole-block accumulator of its own, and replaces the per-face
+// arithmetic with 4-lane bundles:
 //
 //   - the x-sweep vectorizes along the faces of a pencil (four consecutive
 //     faces per step, with the shifted stencil operands the QPX code builds
@@ -21,6 +22,9 @@ import (
 // the padded registers of the original implementation.
 type RHSVec struct {
 	*RHS
+	// acc[q] accumulates the flux differences of quantity q over the whole
+	// block; cell-major layout (z*N+y)*N+x, length N³.
+	acc [nq][]float64
 	// rowA/rowB are flux-row ping-pong buffers for the y-sweep.
 	rowA, rowB *fluxPlane
 }
@@ -30,11 +34,15 @@ func NewRHSVec(n int) *RHSVec {
 	if n%qpx.Width != 0 {
 		panic("core: vector RHS requires block edge divisible by the SIMD width")
 	}
-	return &RHSVec{
+	r := &RHSVec{
 		RHS:  NewRHS(n),
 		rowA: newFluxPlane(n),
 		rowB: newFluxPlane(n),
 	}
+	for q := 0; q < nq; q++ {
+		r.acc[q] = make([]float64, n*n*n)
+	}
+	return r
 }
 
 // Compute evaluates the RHS of the block assembled in lab (vector path).
@@ -78,6 +86,19 @@ func (r *RHSVec) sweepVec(lab *grid.Lab) {
 		r.zFaceVec(z+1, r.zCur)
 		r.accumulateZVec(z)
 		r.zPrev, r.zCur = r.zCur, r.zPrev
+	}
+}
+
+// back is the BACK stage of the vector path: scale the SoA accumulators by
+// 1/h and write the result into the block's AoS temporary area.
+func (r *RHSVec) back(h float64, out []float32) {
+	invH := 1 / h
+	ncells := r.N * r.N * r.N
+	for q := 0; q < nq; q++ {
+		a := r.acc[q]
+		for i := 0; i < ncells; i++ {
+			out[i*nq+q] = float32(a[i] * invH)
+		}
 	}
 }
 

@@ -54,7 +54,7 @@ func (r *RHS) xRows(z int) {
 			}
 		}
 		r.faceRow(&st, m, r.row, 0)
-		r.accumulatePair(zs, (z*n+iy)*n, zs.Idx(0, iy), r.row, r.rowHi, 0, qu, qv, qw)
+		r.accumulatePair(zs, iy*n, zs.Idx(0, iy), r.row, r.rowHi, 0, qu, qv, qw)
 	}
 }
 
@@ -76,7 +76,7 @@ func (r *RHS) yRows(z int) {
 		}
 		r.faceRow(&st, n, r.yCur, 0)
 		if cy := fy - 1; cy >= 0 {
-			r.accumulatePair(zs, (z*n+cy)*n, zs.Idx(0, cy), r.yPrev, r.yCur, 0, qv, qu, qw)
+			r.accumulatePair(zs, cy*n, zs.Idx(0, cy), r.yPrev, r.yCur, 0, qv, qu, qw)
 		}
 		r.yPrev, r.yCur = r.yCur, r.yPrev
 	}

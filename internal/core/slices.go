@@ -1,9 +1,9 @@
 // Package core implements the compute kernels of the solver — the paper's
 // core layer (§6): RHS evaluation (CONV → WENO → HLLE → SUM → BACK stages,
 // Figure 1), the UP update kernel, the SOS/DT reduction, in scalar ("C++")
-// and 4-lane vector ("QPX") variants, plus the WENO5 and HLLE row kernels
-// with their AVX2 twins behind the scalar row driver, and the count of
-// those twins' instructions behind Table 8.
+// and 4-lane vector ("QPX") variants, plus the CONV, WENO5, HLLE, SUM and
+// UP row kernels with their AVX2 twins behind the scalar row driver, and
+// the count of those twins' instructions behind Table 8.
 package core
 
 import (
@@ -66,12 +66,16 @@ func (zs *ZSlice) Idx(ix, iy int) int { return (iy+sw)*zs.S + (ix + sw) }
 
 // Convert fills the slice from lab plane z (lab coordinates, may be in
 // [-sw, N+sw)). This is the CONV stage: conserved AoS float32 cells become
-// primitive SoA float64 arrays via the stiffened equation of state.
+// primitive SoA float64 arrays via the stiffened equation of state. It runs
+// the CONV row kernel, on AVX2 where the CPU has it (hasAVX2).
 //
 // Only the cross region is converted: for ghost z-planes and ghost y-rows
 // the x-range is restricted to the interior, because corner/edge ghosts are
 // never filled by the Lab and never read by the directional sweeps.
-func (zs *ZSlice) Convert(lab *grid.Lab, z int) {
+func (zs *ZSlice) Convert(lab *grid.Lab, z int) { zs.convert(lab, z, hasAVX2) }
+
+// convert is Convert with the row kernel's choice avx2 (see RHS.avx2).
+func (zs *ZSlice) convert(lab *grid.Lab, z int, avx2 bool) {
 	n := zs.N
 	zs.Z = z
 	zGhost := z < 0 || z >= n
@@ -84,25 +88,51 @@ func (zs *ZSlice) Convert(lab *grid.Lab, z int) {
 		if zGhost && yGhost {
 			continue // edge region, never read
 		}
-		for ix := x0; ix < x1; ix++ {
-			c := lab.At(ix, iy, z)
-			o := zs.Idx(ix, iy)
-			r := float64(c[qr])
-			inv := 1 / r
-			u := float64(c[qu]) * inv
-			v := float64(c[qv]) * inv
-			w := float64(c[qw]) * inv
-			g := float64(c[qg])
-			pi := float64(c[qp])
-			ke := 0.5 * r * (u*u + v*v + w*w)
-			zs.R[o] = r
-			zs.U[o] = u
-			zs.V[o] = v
-			zs.W[o] = w
-			zs.P[o] = (float64(c[qe]) - ke - pi) / g
-			zs.G[o] = g
-			zs.Pi[o] = pi
-		}
+		convRow(zs, zs.Idx(x0, iy), lab.Row(x0, iy, z, x1-x0), avx2)
+	}
+}
+
+// convRow is the CONV row kernel: it converts the len(src)/nq AoS cells of
+// src into the primitive rows of zs from offset o on, through the stiffened
+// equation of state. The rows must hold the cells; a shorter one panics
+// before anything is written. With avx2 set, whole groups of four cells run
+// in the assembly twin (convrow_amd64.s), bitwise equal to the Go loop that
+// covers the rest.
+func convRow(zs *ZSlice, o int, src []float32, avx2 bool) {
+	n := len(src) / nq
+	if n == 0 {
+		return
+	}
+	// Index, not slice, bounds: a slice expression may reach into a row's
+	// capacity past its length.
+	e := o + n - 1
+	_, _, _, _ = zs.R[e], zs.U[e], zs.V[e], zs.W[e]
+	_, _, _ = zs.P[e], zs.G[e], zs.Pi[e]
+	R, U, V, W := zs.R[o:][:n], zs.U[o:][:n], zs.V[o:][:n], zs.W[o:][:n]
+	P, G, Pi := zs.P[o:][:n], zs.G[o:][:n], zs.Pi[o:][:n]
+	k := 0
+	if avx2 && n >= 4 {
+		k = n &^ 3
+		convRowAVX2(&R[0], &U[0], &V[0], &W[0], &P[0], &G[0], &Pi[0], &src[0], k)
+	}
+	// len(s) >= nq is implied by i < n; it lets the compiler drop the
+	// bounds checks on s.
+	for i, s := k, src[k*nq:]; i < n && len(s) >= nq; i, s = i+1, s[nq:] {
+		r := float64(s[qr])
+		inv := 1 / r
+		u := float64(s[qu]) * inv
+		v := float64(s[qv]) * inv
+		w := float64(s[qw]) * inv
+		g := float64(s[qg])
+		pi := float64(s[qp])
+		ke := 0.5 * r * (u*u + v*v + w*w)
+		R[i] = r
+		U[i] = u
+		V[i] = v
+		W[i] = w
+		P[i] = (float64(s[qe]) - ke - pi) / g
+		G[i] = g
+		Pi[i] = pi
 	}
 }
 
@@ -133,9 +163,12 @@ func (r *Ring) At(z int) *ZSlice {
 }
 
 // Load converts lab plane z into its ring slot and returns the slice.
-func (r *Ring) Load(lab *grid.Lab, z int) *ZSlice {
+func (r *Ring) Load(lab *grid.Lab, z int) *ZSlice { return r.load(lab, z, hasAVX2) }
+
+// load is Load with the CONV row kernel's choice avx2 (see RHS.avx2).
+func (r *Ring) load(lab *grid.Lab, z int, avx2 bool) *ZSlice {
 	zs := r.slices[((z%len(r.slices))+len(r.slices))%len(r.slices)]
-	zs.Convert(lab, z)
+	zs.convert(lab, z, avx2)
 	return zs
 }
 

@@ -21,12 +21,35 @@ var (
 // UpdateScalar performs one UP stage over a block: u and reg are the block
 // state and Runge-Kutta register (AoS float32), rhs the freshly evaluated
 // right-hand side. a, b are the stage coefficients and dt the time step.
+// It runs the UP row kernel, on AVX2 where the CPU has it (hasAVX2).
 //
 // The kernel is a pure streaming operation with an operational intensity of
 // about 0.2 FLOP/B — memory-bound on every platform considered, which is
 // why the paper's vectorized UP shows no improvement (Table 7).
 func UpdateScalar(u, reg, rhs []float32, a, b, dt float64) {
-	for i := range u {
+	updateRow(u, reg, rhs, a, b, dt, hasAVX2)
+}
+
+// updateRow is the UP row kernel: for every i < len(u),
+//
+//	r := a·reg[i] + dt·rhs[i]; reg[i] = float32(r); u[i] = float32(u[i] + b·r)
+//
+// in float64. reg and rhs must hold len(u) values; a shorter one panics
+// before anything is written. With avx2 set (see RHS.avx2), whole groups of
+// four lanes run in the assembly twin (update_amd64.s), bitwise equal to
+// the Go loop that covers the rest.
+func updateRow(u, reg, rhs []float32, a, b, dt float64, avx2 bool) {
+	n := len(u)
+	if len(reg) < n || len(rhs) < n {
+		panic("core: update operand shorter than the state")
+	}
+	k := 0
+	if avx2 && n >= 4 {
+		k = n &^ 3
+		updateRowAVX2(&u[0], &reg[0], &rhs[0], k, a, b, dt)
+	}
+	reg, rhs = reg[:n], rhs[:n]
+	for i := k; i < n; i++ {
 		r := a*float64(reg[i]) + dt*float64(rhs[i])
 		reg[i] = float32(r)
 		u[i] = float32(float64(u[i]) + b*r)

@@ -3,7 +3,8 @@
 package core
 
 // hasAVX2 reports whether the CPU and the operating system support the
-// assembly row kernels. It is read once, at start-up; NewRHS copies it.
+// assembly row kernels (WENO, HLLE, SUM, UP and CONV). It is read once, at
+// start-up; NewRHS copies it.
 var hasAVX2 = cpuHasAVX2()
 
 // wenoRowAVX2 is wenoRow's four-lane AVX2 loop over the first n lanes; n is
@@ -17,6 +18,24 @@ func wenoRowAVX2(out, a, b, c, d, e *float64, n int)
 //
 //go:noescape
 func hlleRowAVX2(a *hlleRowArgs, n int)
+
+// sumRowAVX2 is sumRow's four-lane AVX2 loop over the first n lanes of the
+// rows in a; n is a positive multiple of 4.
+//
+//go:noescape
+func sumRowAVX2(a *sumRowArgs, n int)
+
+// updateRowAVX2 is updateRow's four-lane AVX2 loop over the first n lanes;
+// n is a positive multiple of 4.
+//
+//go:noescape
+func updateRowAVX2(u, reg, rhs *float32, n int, a, b, dt float64)
+
+// convRowAVX2 is convRow's four-cell AVX2 loop over the first n cells of
+// src into the rows r … pi (ZSlice order); n is a positive multiple of 4.
+//
+//go:noescape
+func convRowAVX2(r, u, v, w, p, gam, pi *float64, src *float32, n int)
 
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 

@@ -335,8 +335,9 @@ func measureClusterRHS(n, nb, ranks, workersPerRank int, minDur time.Duration) f
 // Table7 regenerates the core-layer comparison: scalar ("C++") against
 // 4-lane vector ("QPX") builds of the kernels. The RHS row times the row
 // driver on its Go loops against the same driver on the AVX2 row kernels
-// (n/a where the build or CPU has none). DT, UP and FWT have no 4-lane
-// twin yet and print their scalar rate only.
+// (n/a where the build or CPU has none). UP prints the rate of the kernel
+// UpdateScalar runs, in the AVX2 column where the CPU has it. DT and FWT
+// have no 4-lane twin yet and print their scalar rate only.
 //
 // Paper values (GFLOP/s): RHS 2.21->8.27 (3.7X), DT 0.90->1.96 (2.2X),
 // UP 0.30->0.29 (1X), FWT 0.40->1.29 (3.2X).
@@ -351,7 +352,11 @@ func Table7(w io.Writer, n int, minDur time.Duration) {
 		line(w, "%-6s %14.2f %14s %10s", "RHS", scalar, "n/a", "n/a")
 	}
 	line(w, "%-6s %14.2f %14s %10s", "DT", MeasureDT(n, minDur), "-", "-")
-	line(w, "%-6s %14.2f %14s %10s", "UP", MeasureUP(n, minDur), "-", "-")
+	if up := MeasureUP(n, minDur); nativeAVX2(n) {
+		line(w, "%-6s %14s %14.2f %10s", "UP", "-", up, "-")
+	} else {
+		line(w, "%-6s %14.2f %14s %10s", "UP", up, "-", "-")
+	}
 	line(w, "%-6s %14.2f %14s %10s", "FWT", measureFWT(n, minDur), "-", "-")
 	line(w, "paper: RHS 2.21->8.27 (3.7X)  DT 0.90->1.96 (2.2X)  UP 0.30->0.29 (1X)  FWT 0.40->1.29 (3.2X)")
 }
@@ -372,7 +377,7 @@ func measureFWT(n int, minDur time.Duration) float64 {
 
 // Table8 regenerates the issue-rate analysis: FLOP/instruction density per
 // RHS stage and the implied peak bound, counted from the loop bodies of
-// the AVX2 row kernels. Stages that still run scalar Go print "scalar".
+// the AVX2 row kernels. BACK, which runs scalar Go, prints "scalar".
 //
 // Paper values: CONV 1% 1.10x4 55%; WENO 83% 1.56x4 78%; HLLE 13% 1.30x4
 // 65%; SUM 2% 1.22x4 61%; BACK <1% 1.28x4 64%; ALL 1.51x4 76%.

@@ -251,9 +251,9 @@ func (run *StageRun) execFused(w, i int) int32 {
 	if run.upPending[i].Load() == 1 {
 		// Every reader of this block has copied it into a lab: only our
 		// own RHS evaluation is outstanding, so the update fuses with the
-		// BACK stage — the rhs stays in registers instead of
-		// round-tripping through memory, and the block data is updated
-		// while still cache-resident.
+		// BACK stage layer by layer — the rhs passes through an L1-sized
+		// layer buffer instead of round-tripping through f.RHS, and each
+		// z-slab of the block is updated right after its rhs.
 		if e.Vector {
 			ws.vec.ComputeFused(ws.lab, e.G.H, b.Data, f.Reg[i], f.A, f.B, f.Dt)
 		} else {
