@@ -52,10 +52,13 @@ arm64:
 	GOARCH=arm64 $(GO) vet ./internal/core
 
 # One iteration of Table 9's staged/fused pair on the row driver, of its
-# grind-time benchmark (BenchmarkRHSRows) and of the UP row kernel's
-# (BenchmarkUpdateRows), so they run on every check, not only compile.
+# grind-time benchmark (BenchmarkRHSRows), of the UP row kernel's
+# (BenchmarkUpdateRows) and of the checkpoint write and restore
+# (BenchmarkCheckpointWrite/Restore), so they run on every check, not only
+# compile.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'Table9|RHSRows|UpdateRows' -benchtime 1x . ./internal/core
+	$(GO) test -run '^$$' -bench 'Checkpoint' -benchtime 1x ./internal/checkpoint
 
 # Flake sweep of the concurrency packages — the per-step collective
 # schedule (sim, cluster, mpi), the worker pool (node), the wire (transport,

@@ -28,6 +28,7 @@ import (
 	"cubism/internal/grid"
 	"cubism/internal/layout"
 	"cubism/internal/mpi"
+	"cubism/internal/physics"
 )
 
 // The container header fields that mark a checkpoint. The coder name is
@@ -37,14 +38,22 @@ const (
 	coder    = "raw32+zlib"
 )
 
+// level is the deflate level of every block. On a developed two-phase
+// field it writes under 1 % more bytes than zlib's default level 6 in
+// about two thirds of the time; BestSpeed, which dumps use, writes 2 %
+// more. Every level inflates with the same reader, so checkpoints written
+// at another level restore unchanged.
+const level = 2
+
 // Write saves the rank-local grid state collectively into path. All ranks
 // must call it with consistent metadata.
 func Write(comm *mpi.Comm, path string, g *grid.Grid, rankDims [3]int, step int, time float64) error {
 	box := layout.Layout{GB: [3]int{g.NBX, g.NBY, g.NBZ}}
 	c := &compress.Compressed{N: g.N, Blocks: len(g.Blocks), Streams: make([][]byte, len(g.Blocks))}
 	ids := make([]int64, len(g.Blocks))
-	var raw []byte
-	zw := zlib.NewWriter(nil)
+	blockBytes := 4 * physics.NQ * g.N * g.N * g.N
+	raw := make([]byte, 0, blockBytes)
+	zw, _ := zlib.NewWriterLevel(nil, level) // a valid constant level cannot fail
 	for i, b := range g.Blocks {
 		ids[i] = box.LinearID([3]int{b.X, b.Y, b.Z})
 		raw = raw[:0]
@@ -52,9 +61,11 @@ func Write(comm *mpi.Comm, path string, g *grid.Grid, rankDims [3]int, step int,
 			raw = binary.LittleEndian.AppendUint32(raw, math.Float32bits(v))
 		}
 		// Deflating into a bytes.Buffer cannot fail, and a rank returning
-		// here would leave the others waiting in the collective write.
-		var out bytes.Buffer
-		zw.Reset(&out)
+		// here would leave the others waiting in the collective write. The
+		// buffer holds a block's raw size, so a block that does not
+		// compress grows it at most once.
+		out := bytes.NewBuffer(make([]byte, 0, blockBytes))
+		zw.Reset(out)
 		zw.Write(raw)
 		zw.Close()
 		c.Streams[i] = out.Bytes()
@@ -143,6 +154,7 @@ func restore(data []byte, g *grid.Grid) (int, float64, error) {
 		// without inflating all of it.
 		want := 4 * len(b.Data)
 		raw.Reset()
+		raw.Grow(want + 1 + bytes.MinRead) // ReadFrom keeps MinRead free
 		if _, err := raw.ReadFrom(io.LimitReader(zr, int64(want)+1)); err != nil {
 			return 0, 0, fmt.Errorf("block %d: %v", id, err)
 		}

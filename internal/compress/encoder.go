@@ -28,11 +28,12 @@ type Encoder interface {
 }
 
 // NewEncoder returns the encoder registered under name ("zlib", "rle",
-// "sig" or "huff").
+// "sig" or "huff"). An encoder may keep coder state between calls, so one
+// value serves one goroutine at a time.
 func NewEncoder(name string) (Encoder, error) {
 	switch name {
 	case "zlib":
-		return Zlib{}, nil
+		return &Zlib{}, nil
 	case "rle":
 		return RLE{}, nil
 	case "sig":
@@ -44,40 +45,65 @@ func NewEncoder(name string) (Encoder, error) {
 	}
 }
 
-// Zlib wraps the standard DEFLATE coder.
-type Zlib struct{}
+// Zlib wraps the standard DEFLATE coder at BestSpeed. The deflater and
+// inflater are built on first use and reset for every later call: a
+// deflater carries some 700 KB of match tables, so building one per stream
+// would dominate what a dump allocates.
+type Zlib struct {
+	zw   *zlib.Writer
+	zr   io.ReadCloser
+	src  bytes.Reader
+	sink appendWriter
+}
+
+// appendWriter is an io.Writer that appends to the slice.
+type appendWriter []byte
+
+func (w *appendWriter) Write(p []byte) (int, error) {
+	*w = append(*w, p...)
+	return len(p), nil
+}
 
 // Name implements Encoder.
-func (Zlib) Name() string { return "zlib" }
+func (*Zlib) Name() string { return "zlib" }
 
 // Encode implements Encoder.
-func (Zlib) Encode(dst, src []byte) ([]byte, error) {
-	var buf bytes.Buffer
-	w, err := zlib.NewWriterLevel(&buf, zlib.BestSpeed)
+func (z *Zlib) Encode(dst, src []byte) ([]byte, error) {
+	if z.zw == nil {
+		z.zw, _ = zlib.NewWriterLevel(nil, zlib.BestSpeed) // a valid constant level cannot fail
+	}
+	z.sink = dst
+	z.zw.Reset(&z.sink)
+	_, err := z.zw.Write(src)
+	if cerr := z.zw.Close(); err == nil {
+		err = cerr
+	}
+	out := z.sink
+	z.sink = nil
 	if err != nil {
 		return nil, err
 	}
-	if _, err := w.Write(src); err != nil {
-		return nil, err
-	}
-	if err := w.Close(); err != nil {
-		return nil, err
-	}
-	return append(dst, buf.Bytes()...), nil
+	return out, nil
 }
 
 // Decode implements Encoder.
-func (Zlib) Decode(dst, src []byte) ([]byte, error) {
-	r, err := zlib.NewReader(bytes.NewReader(src))
+func (z *Zlib) Decode(dst, src []byte) ([]byte, error) {
+	z.src.Reset(src)
+	defer z.src.Reset(nil)
+	var err error
+	if z.zr == nil {
+		z.zr, err = zlib.NewReader(&z.src)
+	} else {
+		err = z.zr.(zlib.Resetter).Reset(&z.src, nil)
+	}
 	if err != nil {
 		return nil, err
 	}
-	defer r.Close()
-	out, err := io.ReadAll(r)
-	if err != nil {
+	out := bytes.NewBuffer(dst)
+	if _, err := out.ReadFrom(z.zr); err != nil {
 		return nil, err
 	}
-	return append(dst, out...), nil
+	return out.Bytes(), nil
 }
 
 // RLE is a byte-level zero-run-length coder: runs of zero bytes (dominant

@@ -133,13 +133,15 @@ type Compressed struct {
 	Streams  [][]byte
 }
 
-// encScratch is one worker's reusable buffers: the FWT plan, the extracted
-// field, and the raw record the encoder consumes. A pool worker executes
-// its tasks serially, so indexing scratch by worker id is race-free.
+// encScratch is one worker's reusable state: the FWT plan, the extracted
+// field, the raw record and the encoder that consumes it (which keeps its
+// coder between blocks). A pool worker executes its tasks serially, so
+// indexing scratch by worker id is race-free.
 type encScratch struct {
 	fwt   *wavelet.FWT3
 	field []float32
 	raw   []byte
+	enc   Encoder
 }
 
 // Compress runs the full pipeline over every block of the grid: extract the
@@ -149,10 +151,6 @@ type encScratch struct {
 // serially or scattered across a worker pool in any order — the determinism
 // contract the dump format and the golden corpus rely on.
 func Compress(g *grid.Grid, q Quantity, opt Options) (*Compressed, Stats, error) {
-	enc, err := NewEncoder(opt.Encoder)
-	if err != nil {
-		return nil, Stats{}, err
-	}
 	workers := opt.Workers
 	if workers <= 0 {
 		workers = 1
@@ -178,7 +176,11 @@ func Compress(g *grid.Grid, q Quantity, opt Options) (*Compressed, Stats, error)
 	encodeErr := make([]error, nb)
 	scratch := make([]*encScratch, workers)
 	for w := range scratch {
-		scratch[w] = &encScratch{fwt: wavelet.NewFWT3(n), field: make([]float32, cells)}
+		enc, err := NewEncoder(opt.Encoder)
+		if err != nil {
+			return nil, Stats{}, err
+		}
+		scratch[w] = &encScratch{fwt: wavelet.NewFWT3(n), field: make([]float32, cells), raw: make([]byte, 0, 4+4*cells), enc: enc}
 	}
 	body := func(w, bi int) {
 		s := scratch[w]
@@ -196,7 +198,7 @@ func Compress(g *grid.Grid, q Quantity, opt Options) (*Compressed, Stats, error)
 		stats.DecTimes[w] += t1.Sub(t0)
 		kept[w] += k
 		sp = opt.Tracer.StartSpan("encode", opt.Rank, w+1)
-		out.Streams[bi], encodeErr[bi] = enc.Encode(nil, s.raw)
+		out.Streams[bi], encodeErr[bi] = s.enc.Encode(nil, s.raw)
 		sp.End()
 		stats.EncTimes[w] += time.Since(t1)
 	}

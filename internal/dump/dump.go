@@ -23,6 +23,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"slices"
 
 	"cubism/internal/compress"
 	"cubism/internal/mpi"
@@ -64,11 +65,10 @@ type Header struct {
 // file writer and the frame stream ship to rank 0.
 func record(c *compress.Compressed, blockIDs []int64) (RankEntry, []byte) {
 	e := RankEntry{Blocks: c.Blocks, Streams: make([]int, len(c.Streams)), BlockIDs: blockIDs}
-	var payload []byte
 	for i, s := range c.Streams {
 		e.Streams[i] = len(s)
-		payload = append(payload, s...)
 	}
+	payload := slices.Concat(c.Streams...)
 	e.Size = int64(len(payload))
 	return e, payload
 }
